@@ -13,10 +13,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"msc/internal/geom"
 )
@@ -63,18 +64,28 @@ var (
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
 // Duplicate edges are merged keeping the minimum length (parallel physical
-// links reduce to their most reliable member for shortest-path purposes).
+// links reduce to their most reliable member for shortest-path purposes);
+// among equal minima the first one added wins.
 type Builder struct {
 	n      int
-	edges  map[[2]NodeID]float64
+	edges  []builderEdge // in AddEdge order until Build sorts them
 	coords []geom.Point
 	labels []string
 	err    error
 }
 
+// builderEdge is one AddEdge call: the canonical endpoints packed as
+// U<<32|V, so that ordering keys orders edges by (U, V), and the call's
+// sequence number, which breaks ties between duplicates.
+type builderEdge struct {
+	key    uint64
+	length float64
+	seq    int32
+}
+
 // NewBuilder returns a Builder for a graph with n nodes.
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n, edges: make(map[[2]NodeID]float64)}
+	return &Builder{n: n}
 }
 
 // AddEdge records an undirected edge between u and v with the given length.
@@ -94,10 +105,9 @@ func (b *Builder) AddEdge(u, v NodeID, length float64) *Builder {
 		if u > v {
 			u, v = v, u
 		}
-		key := [2]NodeID{u, v}
-		if old, ok := b.edges[key]; !ok || length < old {
-			b.edges[key] = length
-		}
+		b.edges = append(b.edges, builderEdge{
+			key: uint64(u)<<32 | uint64(v), length: length, seq: int32(len(b.edges)),
+		})
 	}
 	return b
 }
@@ -131,31 +141,64 @@ func (b *Builder) SetLabels(labels []string) *Builder {
 
 // Build finalizes the graph. It returns the first error recorded by the
 // builder, if any.
+//
+// The edges are sorted by (U, V, AddEdge order), which costs one linear
+// check when they were added in that order already, as a decoded instance
+// file adds them. Runs of duplicates then merge to their first minimum,
+// and the adjacency lists are cut from one backing array sized by a
+// degree count. Each list comes out sorted by neighbor id.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	in := b.edges
+	if !slices.IsSortedFunc(in, compareKey) {
+		slices.SortFunc(in, func(x, y builderEdge) int {
+			if c := compareKey(x, y); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.seq, y.seq)
+		})
+	}
+	m := 0
+	for i := range in {
+		if i == 0 || in[i].key != in[i-1].key {
+			m++
+		}
+	}
 	g := &Graph{
 		adj:    make([][]Arc, b.n),
-		edges:  make([]Edge, 0, len(b.edges)),
+		edges:  make([]Edge, 0, m),
 		coords: b.coords,
 		labels: b.labels,
 	}
-	for key, length := range b.edges {
-		g.edges = append(g.edges, Edge{U: key[0], V: key[1], Length: length})
-	}
-	sort.Slice(g.edges, func(i, j int) bool {
-		if g.edges[i].U != g.edges[j].U {
-			return g.edges[i].U < g.edges[j].U
+	degree := make([]int32, b.n)
+	for i, e := range in {
+		if i > 0 && e.key == in[i-1].key {
+			if last := &g.edges[len(g.edges)-1]; e.length < last.Length {
+				last.Length = e.length
+			}
+			continue
 		}
-		return g.edges[i].V < g.edges[j].V
-	})
+		u, v := NodeID(e.key>>32), NodeID(uint32(e.key))
+		g.edges = append(g.edges, Edge{U: u, V: v, Length: e.length})
+		degree[u]++
+		degree[v]++
+	}
+	arcs := make([]Arc, 2*m)
+	for u, d := range degree {
+		if d > 0 {
+			g.adj[u], arcs = arcs[:0:d], arcs[d:]
+		}
+	}
 	for _, e := range g.edges {
 		g.adj[e.U] = append(g.adj[e.U], Arc{To: e.V, Length: e.Length})
 		g.adj[e.V] = append(g.adj[e.V], Arc{To: e.U, Length: e.Length})
 	}
 	return g, nil
 }
+
+func compareKey(x, y builderEdge) int { return cmp.Compare(x.key, y.key) }
 
 // MustBuild is Build but panics on error; for tests and static literals.
 func (b *Builder) MustBuild() *Graph {

@@ -2,7 +2,12 @@ package graph
 
 import (
 	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
+	"testing/quick"
 
 	"msc/internal/geom"
 )
@@ -206,4 +211,126 @@ func TestMustBuildPanics(t *testing.T) {
 		}
 	}()
 	NewBuilder(1).AddEdge(0, 0, 1).MustBuild()
+}
+
+// refBuild is the map-based builder Build replaced, kept as the oracle:
+// duplicates merge in a map keeping the first minimum, the edges are
+// sorted by (U, V), and each adjacency list is filled in that order.
+func refBuild(n int, calls []refEdge) (*Graph, error) {
+	merged := make(map[[2]NodeID]float64)
+	for _, c := range calls {
+		u, v := c.U, c.V
+		switch {
+		case u == v:
+			return nil, ErrSelfLoop
+		case u < 0 || v < 0 || int(u) >= n || int(v) >= n:
+			return nil, ErrNodeRange
+		case math.IsNaN(c.Length) || math.IsInf(c.Length, 0) || c.Length < 0:
+			return nil, ErrBadLength
+		}
+		if u > v {
+			u, v = v, u
+		}
+		key := [2]NodeID{u, v}
+		if old, ok := merged[key]; !ok || c.Length < old {
+			merged[key] = c.Length
+		}
+	}
+	g := &Graph{adj: make([][]Arc, n)}
+	for key, length := range merged {
+		g.edges = append(g.edges, Edge{U: key[0], V: key[1], Length: length})
+	}
+	sort.Slice(g.edges, func(i, j int) bool {
+		if g.edges[i].U != g.edges[j].U {
+			return g.edges[i].U < g.edges[j].U
+		}
+		return g.edges[i].V < g.edges[j].V
+	})
+	for _, e := range g.edges {
+		g.adj[e.U] = append(g.adj[e.U], Arc{To: e.V, Length: e.Length})
+		g.adj[e.V] = append(g.adj[e.V], Arc{To: e.U, Length: e.Length})
+	}
+	return g, nil
+}
+
+type refEdge Edge
+
+// edgeMultiset is a random Builder input for testing/quick: a node count
+// with isolated nodes to spare, and unsorted AddEdge calls over few
+// endpoints and few lengths, so duplicates (reversed ones, ties between
+// +0 and -0 included) are common. With probability 1/8 one call carries a
+// self-loop, an out-of-range id or a bad length.
+type edgeMultiset struct {
+	n     int
+	calls []refEdge
+}
+
+func (edgeMultiset) Generate(r *rand.Rand, size int) reflect.Value {
+	n := 1 + r.Intn(12)
+	lengths := []float64{0, math.Copysign(0, -1), 0.5, 1, 1, 2.25}
+	calls := make([]refEdge, r.Intn(4*size+1))
+	for i := range calls {
+		u, v := NodeID(r.Intn(n)), NodeID(r.Intn(n))
+		for n > 1 && u == v {
+			v = NodeID(r.Intn(n))
+		}
+		calls[i] = refEdge{U: u, V: v, Length: lengths[r.Intn(len(lengths))]}
+	}
+	if len(calls) > 0 && r.Intn(8) == 0 {
+		bad := &calls[r.Intn(len(calls))]
+		switch r.Intn(4) {
+		case 0:
+			bad.V = bad.U
+		case 1:
+			bad.U = NodeID(n + r.Intn(3))
+		case 2:
+			bad.V = -1
+		default:
+			bad.Length = []float64{-1, math.NaN(), math.Inf(1)}[r.Intn(3)]
+		}
+	}
+	return reflect.ValueOf(edgeMultiset{n: n, calls: calls})
+}
+
+// TestBuilderMatchesMapReference: for any AddEdge multiset, Build yields
+// the reference's Edges() and every Neighbors(u) in the same order, with
+// lengths bit-identical, or the same sticky error.
+func TestBuilderMatchesMapReference(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	prop := func(in edgeMultiset) bool {
+		b := NewBuilder(in.n)
+		for _, c := range in.calls {
+			b.AddEdge(c.U, c.V, c.Length)
+		}
+		got, err := b.Build()
+		want, werr := refBuild(in.n, in.calls)
+		if werr != nil || err != nil {
+			return errors.Is(err, werr)
+		}
+		if got.N() != want.N() || len(got.Edges()) != len(want.Edges()) {
+			return false
+		}
+		for i, e := range want.Edges() {
+			if g := got.Edges()[i]; g.U != e.U || g.V != e.V || !same(g.Length, e.Length) {
+				return false
+			}
+		}
+		for u := 0; u < in.n; u++ {
+			ga, wa := got.Neighbors(NodeID(u)), want.Neighbors(NodeID(u))
+			if len(ga) != len(wa) || (wa == nil) != (ga == nil) {
+				return false
+			}
+			for i := range wa {
+				if ga[i].To != wa[i].To || !same(ga[i].Length, wa[i].Length) {
+					return false
+				}
+			}
+		}
+		// A second Build of the same builder is the same graph.
+		again, err := b.Build()
+		return err == nil && reflect.DeepEqual(again, got)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -2,16 +2,96 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
+
+// referenceReadJSON is the reflection decoder ReadJSON replaced, kept as
+// the differential oracle: encoding/json decodes the first value of the
+// input into a Document, then Validate runs.
+func referenceReadJSON(data []byte) (Document, error) {
+	var doc Document
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
+		return Document{}, err
+	}
+	if err := doc.Validate(); err != nil {
+		return Document{}, err
+	}
+	return doc, nil
+}
+
+// strictGrammar reports whether data is one JSON value followed only by
+// whitespace in which every object key is, exactly, a member of the
+// Document or EdgeRecord wire form at its position and appears once,
+// and every coords or pairs entry that is an array has two elements.
+// Within it, ReadJSON must accept exactly what referenceReadJSON accepts.
+func strictGrammar(data []byte) bool {
+	members := map[string]map[string]string{
+		"document": {"nodes": "", "coords": "tuples", "labels": "", "edges": "edges",
+			"pairs": "tuples", "failure_threshold": "", "budget": ""},
+		"edge": {"u": "", "v": "", "p_fail": ""},
+	}
+	elem := map[string]string{"tuples": "tuple", "edges": "edge"}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var value func(schema string) bool
+	value = func(schema string) bool {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		switch tok {
+		case json.Delim('{'):
+			seen := map[string]bool{}
+			for dec.More() {
+				key, err := dec.Token()
+				if err != nil {
+					return false
+				}
+				child, ok := members[schema][key.(string)]
+				if !ok || seen[key.(string)] || !value(child) {
+					return false
+				}
+				seen[key.(string)] = true
+			}
+		case json.Delim('['):
+			n := 0
+			for ; dec.More(); n++ {
+				if !value(elem[schema]) {
+					return false
+				}
+			}
+			if schema == "tuple" && n != 2 {
+				return false
+			}
+		default:
+			return true
+		}
+		_, err = dec.Token() // the closing delimiter
+		return err == nil
+	}
+	if !value("document") {
+		return false
+	}
+	_, err := dec.Token()
+	return err == io.EOF
+}
 
 // FuzzReadDocument feeds arbitrary bytes to the JSON reader. The
 // contract under hostile input is sharp: either a Document whose
 // invariants all hold (it re-validates and builds a graph), or an error
 // wrapping ErrInvalid — never a panic, never a silently malformed
-// document.
+// document. Differentially, against referenceReadJSON: whatever ReadJSON
+// accepts, the reference accepts and decodes to an identical Document
+// (strings, ±0 and nil-versus-empty slices included); whatever the
+// reference accepts within strictGrammar, ReadJSON accepts. Decoding one
+// byte per Read, which puts every token across a buffer refill, must
+// give the same result.
 func FuzzReadDocument(f *testing.F) {
 	f.Add([]byte(`{"nodes":3,"edges":[{"u":0,"v":1,"p_fail":0.1}],"pairs":[[0,2]],"failure_threshold":0.2,"budget":1}`))
 	f.Add([]byte(`{"nodes":0}`))
@@ -32,13 +112,35 @@ func FuzzReadDocument(f *testing.F) {
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
 	f.Add([]byte(`{}`))
+	for _, tc := range strictRejections {
+		f.Add([]byte(tc.in))
+	}
+	f.Add([]byte(`{"nodes":2,"labels":["a\u00e9\ud83d\ude00","\ud800x\udc00\u0041\/\"\\\b\f\n\r\t"],"edges":null}`))
+	f.Add([]byte("{\"nodes\":2,\"labels\":[\"\xff\xc3(\xed\xa0\x80\",null],\"edges\":[]}"))
+	f.Add([]byte(`{"\u006eodes":2,"coords":[null,[-0,1E-2]],"edges":[{"u":1,"v":0,"p_fail":-0.0e+0}],"pairs":null} ` + "\t\r\n"))
+	f.Add([]byte(`{"nodes":2,"edges":[{"u":0,"v":1,"p_fail":1e999}],"budget":1.0}`))
+	f.Add([]byte(`{"nodes":2,"labels":["\\","\\\""],"edges":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := ReadJSON(bytes.NewReader(data))
+		slow, serr := ReadJSON(iotest.OneByteReader(bytes.NewReader(data)))
+		if fmt.Sprint(err) != fmt.Sprint(serr) || !identical(doc, slow) {
+			t.Fatalf("one byte per Read changes the result: %v, %v", err, serr)
+		}
+		ref, rerr := referenceReadJSON(data)
 		if err != nil {
 			if !errors.Is(err, ErrInvalid) {
 				t.Fatalf("ReadJSON error %v does not wrap ErrInvalid", err)
 			}
+			if rerr == nil && strictGrammar(data) {
+				t.Fatalf("ReadJSON rejects a strict-grammar document encoding/json accepts: %v", err)
+			}
 			return
+		}
+		if rerr != nil {
+			t.Fatalf("ReadJSON accepts what encoding/json rejects (%v)", rerr)
+		}
+		if !identical(doc, ref) {
+			t.Fatalf("ReadJSON and encoding/json decode differently:\n got %#v\nwant %#v", doc, ref)
 		}
 		// An accepted document must satisfy its own invariants and build.
 		if verr := doc.Validate(); verr != nil {
@@ -51,6 +153,13 @@ func FuzzReadDocument(f *testing.F) {
 			t.Fatalf("validated document fails PairSet: %v", perr)
 		}
 	})
+}
+
+// identical reports whether two documents are equal field for field,
+// telling nil from empty slices (reflect.DeepEqual) and -0 from +0
+// (fmt prints the sign).
+func identical(a, b Document) bool {
+	return reflect.DeepEqual(a, b) && fmt.Sprintf("%v", a) == fmt.Sprintf("%v", b)
 }
 
 // FuzzReadCostTable feeds arbitrary bytes to the cost-table reader: a

@@ -127,22 +127,6 @@ func WriteJSON(w io.Writer, doc Document) error {
 	return enc.Encode(doc)
 }
 
-// ReadJSON decodes and validates a document. Malformed JSON and
-// documents violating the structural invariants (see Document.Validate)
-// both come back as a *ValidationError wrapping ErrInvalid; ReadJSON
-// never panics, whatever the input.
-func ReadJSON(r io.Reader) (Document, error) {
-	var doc Document
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return Document{}, &ValidationError{Format: "json", Field: "document", Msg: "decode: " + err.Error()}
-	}
-	if err := doc.Validate(); err != nil {
-		return Document{}, err
-	}
-	return doc, nil
-}
-
 // WriteEdgeList encodes "u v p_fail" lines.
 func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriter(w)
@@ -159,15 +143,16 @@ func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 // The node count is one past the largest id mentioned. Every malformed
 // line — wrong field count, unparseable or negative or over-cap ids,
 // self-loops, duplicate edges, NaN or out-of-range probabilities — is
-// rejected with a *ValidationError naming the line; ReadEdgeList never
-// panics, whatever the input.
+// rejected with a *ValidationError naming the line; a duplicate is
+// reported after every other line has passed. ReadEdgeList never panics,
+// whatever the input.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	type rec struct {
 		u, v graph.NodeID
 		p    float64
+		line int
 	}
 	var recs []rec
-	seen := make(map[[2]graph.NodeID]bool)
 	maxID := graph.NodeID(-1)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -201,15 +186,7 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		if err := validateEdgeRec(lineNo, u, v, p, len(fields) == 3); err != nil {
 			return nil, err
 		}
-		key := [2]graph.NodeID{u, v}
-		if key[0] > key[1] {
-			key[0], key[1] = key[1], key[0]
-		}
-		if seen[key] {
-			return nil, lineErr(lineNo, "edge", "duplicate edge (%d,%d)", u, v)
-		}
-		seen[key] = true
-		recs = append(recs, rec{u: u, v: v, p: p})
+		recs = append(recs, rec{u: u, v: v, p: p, line: lineNo})
 		if u > maxID {
 			maxID = u
 		}
@@ -225,6 +202,10 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	}
 	if maxID < 0 {
 		return nil, &ValidationError{Format: "edgelist", Field: "edges", Msg: "empty edge list"}
+	}
+	if i := firstRepeat(len(recs), func(i int) uint64 { return pairKey(recs[i].u, recs[i].v) }); i >= 0 {
+		rc := recs[i]
+		return nil, lineErr(rc.line, "edge", "duplicate edge (%d,%d)", rc.u, rc.v)
 	}
 	b := graph.NewBuilder(int(maxID) + 1)
 	for _, rc := range recs {

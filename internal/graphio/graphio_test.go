@@ -3,7 +3,9 @@ package graphio
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -236,5 +238,87 @@ func TestWriteDOT(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("DOT missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// strictRejections are documents encoding/json decodes without complaint
+// (trailing data, case-folded or unknown keys, repeated keys, coords and
+// pairs entries truncated or zero-filled to two elements) that ReadJSON
+// rejects, each with the field it must name.
+var strictRejections = []struct{ name, in, field string }{
+	{"trailing garbage", `{"nodes":2,"edges":[{"u":0,"v":1}]} trailing garbage {`, "document"},
+	{"second document", `{"nodes":2,"edges":[{"u":0,"v":1}]}{"nodes":2}`, "document"},
+	{"folded Nodes", `{"Nodes":2,"edges":[{"u":0,"v":1}]}`, "Nodes"},
+	{"folded EDGES", `{"nodes":2,"EDGES":[{"u":0,"v":1}]}`, "EDGES"},
+	{"folded U", `{"nodes":2,"edges":[{"U":0,"v":1}]}`, "edges[0].U"},
+	{"misspelt edge", `{"nodes":2,"edge":[{"u":0,"v":1}]}`, "edge"},
+	{"unknown edge member", `{"nodes":2,"edges":[{"u":0,"v":1,"w":5}]}`, "edges[0].w"},
+	{"duplicate key", `{"nodes":2,"nodes":3,"edges":[{"u":0,"v":1}]}`, "nodes"},
+	{"duplicate edge member", `{"nodes":3,"edges":[{"u":0,"v":1,"v":2}]}`, "edges[0].v"},
+	{"pair of three", `{"nodes":2,"edges":[{"u":0,"v":1}],"pairs":[[0,1,7]]}`, "pairs[0]"},
+	{"pair of one", `{"nodes":2,"edges":[{"u":0,"v":1}],"pairs":[[1]]}`, "pairs[0]"},
+	{"coord of three", `{"nodes":1,"coords":[[0,0,0]],"edges":[]}`, "coords[0]"},
+	{"coord of one", `{"nodes":1,"coords":[[0.5]],"edges":[]}`, "coords[0]"},
+	{"empty coord", `{"nodes":2,"coords":[[0,1],[]],"edges":[]}`, "coords[1]"},
+}
+
+func TestReadJSONStrictGrammar(t *testing.T) {
+	for _, tc := range strictRejections {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := referenceReadJSON([]byte(tc.in)); err != nil {
+				t.Fatalf("encoding/json rejects the probe too: %v", err)
+			}
+			_, err := ReadJSON(strings.NewReader(tc.in))
+			var verr *ValidationError
+			if !errors.As(err, &verr) || !errors.Is(err, ErrInvalid) {
+				t.Fatalf("ReadJSON error %v, want a *ValidationError", err)
+			}
+			if verr.Field != tc.field {
+				t.Fatalf("Field = %q, want %q (err: %v)", verr.Field, tc.field, err)
+			}
+		})
+	}
+}
+
+// TestReadJSONNodeCountAllocatesNothing: the declared node count sizes
+// nothing ReadJSON allocates, so a tiny document claiming MaxNodes nodes
+// costs only the read buffer.
+func TestReadJSONNodeCountAllocatesNothing(t *testing.T) {
+	in := []byte(fmt.Sprintf(`{"nodes":%d,"edges":[]}`, MaxNodes))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	doc, err := ReadJSON(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err != nil || doc.Nodes != MaxNodes {
+		t.Fatalf("ReadJSON = %d nodes, %v", doc.Nodes, err)
+	}
+	// MaxNodes bits would be 512 KiB.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 128<<10 {
+		t.Fatalf("ReadJSON allocated %d bytes for a %d-byte document", grew, len(in))
+	}
+}
+
+// TestReadJSONAllocsGrowWithSlices: ReadJSON allocates when a slice
+// grows, geometrically, never per record; sixteen times the edges may
+// cost a few dozen more allocations, not thousands.
+func TestReadJSONAllocsGrowWithSlices(t *testing.T) {
+	allocs := func(m int) float64 {
+		b := graph.NewBuilder(m + 1)
+		for i := 0; i < m; i++ {
+			b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), failprob.LengthFromProb(0.01+float64(i%97)/200))
+		}
+		var buf bytes.Buffer
+		if err := WriteJSONStream(&buf, b.MustBuild(), pairs.MustNewSet(m+1, []pairs.Pair{{U: 0, W: graph.NodeID(m)}}), 0.1, 2); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := ReadJSON(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(16000)
+	if large-small > 40 {
+		t.Fatalf("ReadJSON allocations: %v for 1000 edges, %v for 16000", small, large)
 	}
 }

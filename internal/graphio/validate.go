@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"msc/internal/graph"
 )
@@ -59,6 +60,11 @@ func lineErr(line int, field, format string, args ...any) error {
 // threshold in [0, 1), and a non-negative budget. ReadJSON calls it on
 // every decoded document; callers constructing documents in code may call
 // it directly.
+//
+// It allocates nothing for a document whose edges and pairs arrive in
+// canonical order, as FromGraph and WriteJSONStream write them (see
+// firstRepeat). A duplicate is reported after every other per-record
+// check of its list has passed.
 func (doc Document) Validate() error {
 	if doc.Nodes <= 0 {
 		return jsonErr("nodes", "must be positive, got %d", doc.Nodes)
@@ -77,44 +83,32 @@ func (doc Document) Validate() error {
 	if doc.Labels != nil && len(doc.Labels) != doc.Nodes {
 		return jsonErr("labels", "%d entries for %d nodes", len(doc.Labels), doc.Nodes)
 	}
-	seenEdges := make(map[[2]int32]bool, len(doc.Edges))
 	for i, e := range doc.Edges {
-		field := fmt.Sprintf("edges[%d]", i)
 		if e.U < 0 || e.V < 0 || int(e.U) >= doc.Nodes || int(e.V) >= doc.Nodes {
-			return jsonErr(field, "endpoint (%d,%d) outside 0..%d", e.U, e.V, doc.Nodes-1)
+			return jsonErr(fmt.Sprintf("edges[%d]", i), "endpoint (%d,%d) outside 0..%d", e.U, e.V, doc.Nodes-1)
 		}
 		if e.U == e.V {
-			return jsonErr(field, "self-loop at node %d", e.U)
+			return jsonErr(fmt.Sprintf("edges[%d]", i), "self-loop at node %d", e.U)
 		}
 		if math.IsNaN(e.Fail) || e.Fail < 0 || e.Fail >= 1 {
-			return jsonErr(field+".p_fail", "%v outside [0, 1)", e.Fail)
+			return jsonErr(fmt.Sprintf("edges[%d].p_fail", i), "%v outside [0, 1)", e.Fail)
 		}
-		key := [2]int32{e.U, e.V}
-		if key[0] > key[1] {
-			key[0], key[1] = key[1], key[0]
-		}
-		if seenEdges[key] {
-			return jsonErr(field, "duplicate edge (%d,%d)", e.U, e.V)
-		}
-		seenEdges[key] = true
 	}
-	seenPairs := make(map[[2]int32]bool, len(doc.Pairs))
+	if i := firstRepeat(len(doc.Edges), func(i int) uint64 { return pairKey(doc.Edges[i].U, doc.Edges[i].V) }); i >= 0 {
+		e := doc.Edges[i]
+		return jsonErr(fmt.Sprintf("edges[%d]", i), "duplicate edge (%d,%d)", e.U, e.V)
+	}
 	for i, p := range doc.Pairs {
-		field := fmt.Sprintf("pairs[%d]", i)
 		if p[0] < 0 || p[1] < 0 || int(p[0]) >= doc.Nodes || int(p[1]) >= doc.Nodes {
-			return jsonErr(field, "pair (%d,%d) outside 0..%d", p[0], p[1], doc.Nodes-1)
+			return jsonErr(fmt.Sprintf("pairs[%d]", i), "pair (%d,%d) outside 0..%d", p[0], p[1], doc.Nodes-1)
 		}
 		if p[0] == p[1] {
-			return jsonErr(field, "pair of node %d with itself", p[0])
+			return jsonErr(fmt.Sprintf("pairs[%d]", i), "pair of node %d with itself", p[0])
 		}
-		key := [2]int32{p[0], p[1]}
-		if key[0] > key[1] {
-			key[0], key[1] = key[1], key[0]
-		}
-		if seenPairs[key] {
-			return jsonErr(field, "duplicate pair (%d,%d)", p[0], p[1])
-		}
-		seenPairs[key] = true
+	}
+	if i := firstRepeat(len(doc.Pairs), func(i int) uint64 { return pairKey(doc.Pairs[i][0], doc.Pairs[i][1]) }); i >= 0 {
+		p := doc.Pairs[i]
+		return jsonErr(fmt.Sprintf("pairs[%d]", i), "duplicate pair (%d,%d)", p[0], p[1])
 	}
 	if math.IsNaN(doc.FailureThreshold) || doc.FailureThreshold < 0 || doc.FailureThreshold >= 1 {
 		return jsonErr("failure_threshold", "%v outside [0, 1)", doc.FailureThreshold)
@@ -123,6 +117,53 @@ func (doc Document) Validate() error {
 		return jsonErr("budget", "must be non-negative, got %d", doc.Budget)
 	}
 	return nil
+}
+
+// pairKey packs the unordered pair {u, v} of non-negative ids as
+// min<<32|max, so that keys order pairs by (min, max).
+func pairKey(u, v int32) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
+
+// firstRepeat returns the smallest i whose key(i) equals key(j) for some
+// j < i, or -1 when the n keys are distinct. Keys that are strictly
+// increasing cannot repeat, so they cost one pass and no allocation;
+// otherwise a scratch copy is sorted to find the repeated keys, and a
+// second pass locates the first repetition in input order.
+func firstRepeat(n int, key func(i int) uint64) int {
+	keys := []uint64(nil)
+	for i := 1; i < n && keys == nil; i++ {
+		if key(i) <= key(i-1) {
+			keys = make([]uint64, n)
+		}
+	}
+	if keys == nil {
+		return -1
+	}
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	var repeated []uint64
+	for i := 1; i < n; i++ {
+		if sorted[i] == sorted[i-1] && (len(repeated) == 0 || repeated[len(repeated)-1] != sorted[i]) {
+			repeated = append(repeated, sorted[i])
+		}
+	}
+	seen := make([]bool, len(repeated))
+	for i, k := range keys {
+		if j, ok := slices.BinarySearch(repeated, k); ok {
+			if seen[j] {
+				return i
+			}
+			seen[j] = true
+		}
+	}
+	return -1
 }
 
 func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
