@@ -200,6 +200,77 @@ func TestMscbenchRejectsUnknownExp(t *testing.T) {
 	}
 }
 
+// TestMscplaceRejectsPriceWithoutBudget: a cost model or cost table prices
+// shortcuts against a knapsack budget, so asking for one without a
+// positive -budget is a usage error, not a silent B = 0 run that places
+// nothing.
+func TestMscplaceRejectsPriceWithoutBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	dir := t.TempDir()
+	inst := filepath.Join(dir, "inst.json")
+	runTool(t, "mscgen", "-kind", "rgg", "-n", "200", "-m", "20", "-pt", "0.11",
+		"-k", "4", "-seed", "1", "-out", inst)
+	for _, args := range [][]string{
+		{"-cost-model", "unit"},
+		{"-cost-model", "length", "-budget", "0"},
+		{"-cost-table", filepath.Join(dir, "prices.json")},
+	} {
+		out := runToolErr(t, "mscplace", append([]string{"-in", inst, "-alg", "greedy"}, args...)...)
+		if !strings.Contains(out, "positive -budget") || strings.Contains(out, "maintained:") {
+			t.Errorf("mscplace %v: want a -budget usage error and no placement:\n%s", args, out)
+		}
+	}
+}
+
+// TestMscbenchRejectsPriceWithoutBudget is the mscbench side of the same
+// rule: the suite used to ignore -cost-model silently without -budget.
+func TestMscbenchRejectsPriceWithoutBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	out := runToolErr(t, "mscbench", "-exp", "table1", "-quick", "-cost-model", "length")
+	if !strings.Contains(out, "positive -budget") || strings.Contains(out, "Table I") {
+		t.Fatalf("want a -budget usage error before any experiment runs:\n%s", out)
+	}
+}
+
+// timingLine matches mscbench's per-experiment "[id took 12ms]" line, the
+// only part of its output that varies between identical runs.
+var timingLine = regexp.MustCompile(`(?m)^\[.* took .*\]\n`)
+
+// TestMscbenchFlagsReachInstances pins `mscbench -exp all -quick` to
+// committed goldens, once with default flags and once with solver flags
+// that change the results. Every experiment instance and solver call takes
+// its options from the one value the flags build, so a site that drops
+// them shows up as a diff in the flagged golden.
+func TestMscbenchFlagsReachInstances(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go toolchain")
+	}
+	bin := buildTool(t, t.TempDir(), "mscbench")
+	for _, tc := range []struct {
+		golden string
+		flags  []string
+	}{
+		{"mscbench_quick_default.golden", nil},
+		{"mscbench_quick_flags.golden", []string{"-par", "1", "-eval", "rebuild", "-survive", "shortcut", "-budget", "2"}},
+	} {
+		out, err := exec.Command(bin, append([]string{"-exp", "all", "-quick"}, tc.flags...)...).Output()
+		if err != nil {
+			t.Fatalf("mscbench %v: %v", tc.flags, err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := timingLine.ReplaceAllString(string(out), ""); got != string(want) {
+			t.Errorf("mscbench -exp all -quick %v differs from testdata/%s:\n%s", tc.flags, tc.golden, got)
+		}
+	}
+}
+
 func TestMscbenchJSONLRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go toolchain")

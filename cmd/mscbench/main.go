@@ -82,17 +82,11 @@ func run(ctx context.Context) (retErr error) {
 		quick    = flag.Bool("quick", false, "reduced-scale smoke run")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		svg      = flag.String("svg", "", "directory to write fig1 SVG renderings into")
-		par      = flag.Int("par", 0, "candidate-scan workers: 1 = serial, 0 = GOMAXPROCS (results are identical either way)")
-		budgetF  = flag.Float64("budget", 0, "knapsack budget B replacing the cardinality budget k on every instance; prices come from -cost-model (0 = cardinality placement)")
-		distB    = cli.AddDistBackendFlag(flag.CommandLine)
-		lmF      = cli.AddLandmarksFlag(flag.CommandLine)
-		evalM    = cli.AddEvalModeFlag(flag.CommandLine)
-		survM    = cli.AddSurviveFlag(flag.CommandLine)
-		costM    = cli.AddCostModelFlag(flag.CommandLine)
 		jsonl    = flag.String("jsonl", "", "write machine-readable run records as JSON lines to this file")
 		validate = flag.String("validate", "", "validate a JSONL run-record file against the telemetry schema and exit")
 		version  = flag.Bool("version", false, "print version and exit")
 	)
+	solver := cli.AddSolverFlags(flag.CommandLine)
 	prof := cli.AddProfileFlags(flag.CommandLine)
 	opsF := cli.AddOpsFlags(flag.CommandLine)
 	flag.Parse()
@@ -103,38 +97,14 @@ func run(ctx context.Context) (retErr error) {
 	if *validate != "" {
 		return validateFile(*validate)
 	}
-	core.SetDefaultParallelism(*par)
-	backend, err := core.ParseDistBackend(*distB)
+	opts, err := solver.Options()
 	if err != nil {
 		return err
 	}
-	core.SetDefaultDistBackend(backend)
-	core.SetDefaultLandmarks(*lmF)
-	evalMode, err := core.ParseEvalMode(*evalM)
-	if err != nil {
-		return err
-	}
-	core.SetDefaultEvalMode(evalMode)
-	survive, err := core.ParseSurvivability(*survM)
-	if err != nil {
-		return err
-	}
-	core.SetDefaultSurvivability(survive)
-	costModel, err := core.ParseCostModel(*costM)
-	if err != nil {
-		return err
-	}
-	if costModel == core.CostTable {
+	if opts.CostModel == core.CostTable {
 		// A per-candidate table needs one price vector per instance; the
 		// suite builds many instances, so only the shared models apply.
 		return fmt.Errorf(`-cost-model table needs a per-instance price table (use mscplace -cost-table); mscbench supports unit and length`)
-	}
-	if *budgetF != 0 {
-		if *budgetF < 0 {
-			return fmt.Errorf("-budget must be non-negative, got %v", *budgetF)
-		}
-		core.SetDefaultBudget(*budgetF)
-		core.SetDefaultCostModel(costModel)
 	}
 
 	ids, err := resolveIDs(*exp)
@@ -157,7 +127,7 @@ func run(ctx context.Context) (retErr error) {
 	}()
 	defer plane.Recover()
 
-	cfg := experiments.Config{Seed: *seed, Quick: *quick}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, Options: opts}
 	var jsonlSink *telemetry.JSONLSink
 	if *jsonl != "" {
 		f, err := os.Create(*jsonl)
@@ -201,13 +171,13 @@ func run(ctx context.Context) (retErr error) {
 				Name:        id,
 				Algorithm:   "experiment",
 				Seed:        *seed,
-				Workers:     *par,
-				DistBackend: *distB,
-				EvalMode:    *evalM,
-				Survive:     *survM,
+				Workers:     solver.Par,
+				DistBackend: solver.DistBackend,
+				EvalMode:    solver.EvalMode,
+				Survive:     solver.Survive,
 				Quick:       *quick,
-				Budget:      *budgetF,
-				CostModel:   benchCostModel(*budgetF, costModel),
+				Budget:      opts.Budget,
+				CostModel:   benchCostModel(opts.Budget, opts.CostModel),
 				Sigma:       -1,
 				SigmaWorst:  -1,
 				WallMS:      float64(elapsed.Nanoseconds()) / 1e6,

@@ -66,14 +66,6 @@ func run(ctx context.Context) (retErr error) {
 		outP     = flag.String("out", "", "also write the result as JSON to this path")
 		report   = flag.Bool("report", false, "print a per-pair diagnostic table")
 		refine   = flag.Bool("refine", false, "apply local-search swap refinement to the placement")
-		par      = flag.Int("par", 0, "candidate-scan workers: 1 = serial, 0 = GOMAXPROCS (placements are identical either way)")
-		budgetF  = flag.Float64("budget", 0, "knapsack budget B replacing the cardinality budget k; shortcut prices come from -cost-model (0 = cardinality placement)")
-		costTab  = flag.String("cost-table", "", "per-pair shortcut price table JSON for -cost-model table")
-		distB    = cli.AddDistBackendFlag(flag.CommandLine)
-		lmF      = cli.AddLandmarksFlag(flag.CommandLine)
-		evalM    = cli.AddEvalModeFlag(flag.CommandLine)
-		survM    = cli.AddSurviveFlag(flag.CommandLine)
-		costM    = cli.AddCostModelFlag(flag.CommandLine)
 		jsonl    = flag.String("jsonl", "", "write per-round telemetry events and a run record as JSON lines to this file")
 		deadline = flag.Duration("deadline", 0, "wall-clock budget for the solver; on expiry the best-so-far placement is emitted (0 = none)")
 		ckpt     = flag.String("checkpoint", "", "write resumable run snapshots as JSON lines to this file (ea, aea)")
@@ -81,6 +73,8 @@ func run(ctx context.Context) (retErr error) {
 		resume   = flag.String("resume", "", "resume an ea/aea run from the last checkpoint in this file; -iters is the total budget")
 		version  = flag.Bool("version", false, "print version and exit")
 	)
+	solver := cli.AddSolverFlags(flag.CommandLine)
+	flag.StringVar(&solver.CostTable, "cost-table", "", "per-pair shortcut price table JSON for -cost-model table")
 	prof := cli.AddProfileFlags(flag.CommandLine)
 	opsF := cli.AddOpsFlags(flag.CommandLine)
 	flag.Parse()
@@ -88,29 +82,14 @@ func run(ctx context.Context) (retErr error) {
 		fmt.Println(cli.Version("mscplace"))
 		return nil
 	}
-	msc.SetDefaultParallelism(*par)
-	backend, err := msc.ParseDistBackend(*distB)
+	instOpts, err := solver.Options()
 	if err != nil {
 		return err
 	}
-	evalMode, err := msc.ParseEvalMode(*evalM)
-	if err != nil {
-		return err
-	}
-	survive, err := msc.ParseSurvivability(*survM)
-	if err != nil {
-		return err
-	}
-	costModel, err := msc.ParseCostModel(*costM)
-	if err != nil {
-		return err
-	}
-	budgeted := *budgetF != 0 || costModel != msc.CostModelAuto || *costTab != ""
+	instOpts.AllowTrivial = true
+	budgeted := instOpts.Budget > 0
 	if budgeted && *alg == "cn" {
 		return fmt.Errorf("-alg cn solves the cardinality common-node case; it does not support -budget")
-	}
-	if *costTab != "" && costModel != msc.CostModelAuto && costModel != msc.CostTable {
-		return fmt.Errorf("-cost-table conflicts with -cost-model %s", costModel)
 	}
 	if *in == "" {
 		return fmt.Errorf("-in is required")
@@ -198,34 +177,27 @@ func run(ctx context.Context) (retErr error) {
 	if threshold <= 0 {
 		return fmt.Errorf("no threshold: set one in the instance or pass -pt")
 	}
-	instOpts := &msc.InstanceOptions{AllowTrivial: true, DistBackend: backend, Landmarks: *lmF, EvalMode: evalMode,
-		Parallelism: *par, Survive: survive}
-	if budgeted {
-		instOpts.Budget = *budgetF
-		instOpts.CostModel = costModel
-		if *costTab != "" {
-			tf, err := os.Open(*costTab)
-			if err != nil {
-				return err
-			}
-			ct, err := msc.ReadCostTable(tf)
-			tf.Close()
-			if err != nil {
-				return err
-			}
-			// Expand the per-pair table into the dense per-candidate price
-			// vector the instance validates against its universe.
-			costs := make([]float64, msc.NumCandidatesFor(g.N()))
-			for u := int32(0); u < int32(g.N()); u++ {
-				for v := u + 1; v < int32(g.N()); v++ {
-					costs[msc.CandidateIndexFor(g.N(), msc.Edge{U: u, V: v})] = ct.Cost(u, v)
-				}
-			}
-			instOpts.Costs = costs
-			instOpts.CostModel = msc.CostTable
+	if solver.CostTable != "" {
+		tf, err := os.Open(solver.CostTable)
+		if err != nil {
+			return err
 		}
+		ct, err := msc.ReadCostTable(tf)
+		tf.Close()
+		if err != nil {
+			return err
+		}
+		// Expand the per-pair table into the dense per-candidate price
+		// vector the instance validates against its universe.
+		costs := make([]float64, msc.NumCandidatesFor(g.N()))
+		for u := int32(0); u < int32(g.N()); u++ {
+			for v := u + 1; v < int32(g.N()); v++ {
+				costs[msc.CandidateIndexFor(g.N(), msc.Edge{U: u, V: v})] = ct.Cost(u, v)
+			}
+		}
+		instOpts.Costs = costs
 	}
-	inst, err := msc.NewInstance(g, ps, msc.NewThreshold(threshold), budget, instOpts)
+	inst, err := msc.NewInstance(g, ps, msc.NewThreshold(threshold), budget, &instOpts)
 	if err != nil {
 		return err
 	}
@@ -238,13 +210,14 @@ func run(ctx context.Context) (retErr error) {
 	// A typed-nil sink must never reach an interface-typed option (it
 	// would defeat the solvers' nil fast path), so options are built only
 	// when tracing is on.
-	solverOpts := []msc.Option{msc.WithContext(ctx), msc.WithDeadline(*deadline)}
-	eaOpts := msc.EAOptions{Iterations: *iters, Context: ctx, Deadline: *deadline}
+	solverOpts := []msc.Option{msc.Parallelism(solver.Par), msc.WithContext(ctx), msc.WithDeadline(*deadline)}
+	eaOpts := msc.EAOptions{Iterations: *iters, Parallelism: solver.Par, Context: ctx, Deadline: *deadline}
 	aeaOpts := msc.DefaultAEAOptions()
 	aeaOpts.Iterations = *iters
+	aeaOpts.Parallelism = solver.Par
 	aeaOpts.Context = ctx
 	aeaOpts.Deadline = *deadline
-	lsOpts := msc.LocalSearchOptions{Context: ctx, Deadline: *deadline}
+	lsOpts := msc.LocalSearchOptions{Parallelism: solver.Par, Context: ctx, Deadline: *deadline}
 	if sink != nil {
 		solverOpts = append(solverOpts, msc.WithSink(sink))
 		eaOpts.Sink = sink
@@ -355,9 +328,9 @@ func run(ctx context.Context) (retErr error) {
 			Name:             *alg,
 			Algorithm:        *alg,
 			Seed:             *seed,
-			Workers:          *par,
-			DistBackend:      *distB,
-			EvalMode:         *evalM,
+			Workers:          solver.Par,
+			DistBackend:      solver.DistBackend,
+			EvalMode:         solver.EvalMode,
 			Survive:          string(inst.Survive()),
 			N:                inst.N(),
 			Pairs:            ps.Len(),

@@ -1,9 +1,10 @@
 // Package cli holds the flag plumbing shared by every msc command:
-// a -version flag backed by the module build info, and the pprof/trace
-// profiling flag trio (-cpuprofile, -memprofile, -trace).
+// a -version flag backed by the module build info, the pprof/trace
+// profiling flag trio (-cpuprofile, -memprofile, -trace), the ops plane
+// flags, and the solver-option flags that mscplace and mscbench turn into
+// one core.Options value (solver.go).
 //
-// It depends only on the standard library and deliberately knows nothing
-// about the solver; commands wire it up in three lines:
+// Commands wire the profiling flags up in three lines:
 //
 //	prof := cli.AddProfileFlags(flag.CommandLine)
 //	version := flag.Bool("version", false, "print version and exit")
@@ -73,52 +74,6 @@ func Version(cmd string) string {
 	b.WriteString(" ")
 	b.WriteString(info.GoVersion)
 	return b.String()
-}
-
-// AddDistBackendFlag registers the -dist-backend flag shared by the
-// solver-facing commands and returns the pointer receiving its value
-// after fs.Parse. The package stays solver-agnostic: values are plain
-// strings here, validated by the command via msc.ParseDistBackend /
-// core.ParseDistBackend.
-func AddDistBackendFlag(fs *flag.FlagSet) *string {
-	return fs.String("dist-backend", "auto",
-		"distance backend: auto|dense|lazy|bounded (auto = dense for small networks, lazy Dijkstra row cache above the node threshold, bounded-reach sparse rows at million-node scale)")
-}
-
-// AddLandmarksFlag registers the -landmarks flag shared by the
-// solver-facing commands and returns the pointer receiving its value
-// after fs.Parse. It tunes the ALT landmark count of the bounded distance
-// backend; 0 keeps the built-in default, negative disables landmarks.
-func AddLandmarksFlag(fs *flag.FlagSet) *int {
-	return fs.Int("landmarks", 0,
-		"ALT landmarks for the bounded distance backend (0 = default, negative = disable)")
-}
-
-// AddEvalModeFlag registers the -eval flag shared by the solver-facing
-// commands and returns the pointer receiving its value after fs.Parse.
-// Like AddDistBackendFlag, values stay plain strings here and are
-// validated by the command via msc.ParseEvalMode / core.ParseEvalMode.
-func AddEvalModeFlag(fs *flag.FlagSet) *string {
-	return fs.String("eval", "auto",
-		"search evaluation mode: auto|incremental|rebuild (incremental = O(n) row merges and delta gains rescans on Add; rebuild = full recompute reference path; placements are identical either way)")
-}
-
-// AddSurviveFlag registers the -survive flag shared by the solver-facing
-// commands and returns the pointer receiving its value after fs.Parse.
-// Values stay plain strings here and are validated by the command via
-// msc.ParseSurvivability / core.ParseSurvivability.
-func AddSurviveFlag(fs *flag.FlagSet) *string {
-	return fs.String("survive", "auto",
-		"survivability mode: auto|none|shortcut|node (shortcut/node optimize the worst-case σ⁻ over all single shortcut or node failures, breaking ties by fault-free σ)")
-}
-
-// AddCostModelFlag registers the -cost-model flag shared by the
-// budget-aware commands and returns the pointer receiving its value after
-// fs.Parse. Values stay plain strings here and are validated by the
-// command via msc.ParseCostModel / core.ParseCostModel.
-func AddCostModelFlag(fs *flag.FlagSet) *string {
-	return fs.String("cost-model", "auto",
-		"shortcut cost model for -budget runs: auto|unit|length|table (unit prices every shortcut at 1; length prices by bridged distance; table reads per-pair prices from -cost-table)")
 }
 
 // Profile carries the three profiling flag values registered by

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"msc/internal/failprob"
 	"msc/internal/graph"
@@ -16,9 +15,8 @@ import (
 type DistBackend string
 
 const (
-	// BackendAuto picks dense below DefaultLazyThreshold nodes and lazy at
-	// or above it (unless a process default was set, which takes
-	// precedence over the threshold).
+	// BackendAuto picks dense below DefaultLazyThreshold nodes, lazy from
+	// there up to DefaultBoundedThreshold, and bounded at or above it.
 	BackendAuto DistBackend = ""
 	// BackendDense materializes the full n×n table eagerly (n Dijkstras
 	// at construction). Right when most rows get read: bound coverage
@@ -32,14 +30,14 @@ const (
 	// of evaluated selections, so construction cost stops scaling with n.
 	BackendLazy DistBackend = "lazy"
 	// BackendBounded computes rows with a Dijkstra bounded at the
-	// threshold d_t and stores them sparsely, with an ALT landmark layer
-	// for certified "farther than d_t" answers. The objective only ever
-	// compares distances against d_t, so the truncation is unobservable
-	// to the solvers; per-row memory and per-row compute scale with the
-	// d_t-ball instead of with n, which is what makes 10⁵–10⁶-node
-	// instances tractable. Distances carry float32 quantization (≈1e-7
-	// relative); the "length" cost model is rejected (it needs full-range
-	// distances).
+	// threshold d_t and stores them sparsely; a node outside the d_t-ball
+	// reads +Inf, which answers every "farther than d_t" query. The
+	// objective only ever compares distances against d_t, so the
+	// truncation is unobservable to the solvers; per-row memory and
+	// per-row compute scale with the d_t-ball instead of with n, which is
+	// what makes 10⁵–10⁶-node instances tractable. Distances carry
+	// float32 quantization (≈1e-7 relative); the "length" cost model is
+	// rejected (it needs full-range distances).
 	BackendBounded DistBackend = "bounded"
 )
 
@@ -57,16 +55,10 @@ const DefaultLazyThreshold = 512
 // paper's instance families (see EXPERIMENTS.md, "Scale recipe").
 const DefaultBoundedThreshold = 100_000
 
-// DefaultLandmarks is the ALT landmark count the bounded backend builds
-// when the option is left at auto: enough farthest-point landmarks that
-// most beyond-d_t pair queries are answered by a lower bound, cheap
-// enough (one full Dijkstra + 4·n bytes each) to amortize immediately.
+// DefaultLandmarks is the ALT landmark count the perfbench harness builds
+// for its shortestpath.landmarks_s probe (shortestpath.NewLandmarks). No
+// solver path builds landmarks; the constant goes when that probe does.
 const DefaultLandmarks = 16
-
-// defaultDistBackend holds the process-wide backend default used when
-// Options.DistBackend is BackendAuto; empty means "apply the threshold
-// rule". Set from the -dist-backend flag of the cmds.
-var defaultDistBackend atomic.Value // DistBackend
 
 // ParseDistBackend validates a -dist-backend flag value; "auto", "dense",
 // "lazy", and "bounded" are accepted.
@@ -84,59 +76,20 @@ func ParseDistBackend(s string) (DistBackend, error) {
 	return BackendAuto, fmt.Errorf("core: unknown distance backend %q (want auto, dense, lazy, or bounded)", s)
 }
 
-// SetDefaultDistBackend sets the backend used by instances built with
-// BackendAuto; BackendAuto restores the node-threshold rule. It mirrors
-// SetDefaultParallelism so commands can wire one flag without threading an
-// option through every construction site.
-func SetDefaultDistBackend(b DistBackend) {
-	defaultDistBackend.Store(b)
-}
-
-// resolveDistBackend applies the explicit-option → process-default →
-// node-threshold resolution chain.
+// resolveDistBackend applies the explicit-option → node-threshold
+// resolution chain.
 func resolveDistBackend(b DistBackend, n int) DistBackend {
-	if b == BackendAuto {
-		if d, ok := defaultDistBackend.Load().(DistBackend); ok {
-			b = d
-		}
+	if b != BackendAuto {
+		return b
 	}
-	if b == BackendAuto {
-		switch {
-		case n >= DefaultBoundedThreshold:
-			return BackendBounded
-		case n >= DefaultLazyThreshold:
-			return BackendLazy
-		default:
-			return BackendDense
-		}
+	switch {
+	case n >= DefaultBoundedThreshold:
+		return BackendBounded
+	case n >= DefaultLazyThreshold:
+		return BackendLazy
+	default:
+		return BackendDense
 	}
-	return b
-}
-
-// defaultLandmarks holds the process-wide ALT landmark count used when
-// Options.Landmarks is 0; 0 means "apply DefaultLandmarks". Set from the
-// -landmarks flag of the cmds. Negative disables the landmark layer.
-var defaultLandmarks atomic.Int64
-
-// SetDefaultLandmarks sets the ALT landmark count used by bounded-backend
-// instances whose Options leave Landmarks at 0 (auto). Pass a negative
-// value to disable landmarks, 0 to restore DefaultLandmarks.
-func SetDefaultLandmarks(k int) { defaultLandmarks.Store(int64(k)) }
-
-// resolveLandmarks applies the explicit-option → process-default →
-// DefaultLandmarks chain; negative anywhere in the chain means "no
-// landmarks".
-func resolveLandmarks(opt int) int {
-	if opt == 0 {
-		opt = int(defaultLandmarks.Load())
-	}
-	if opt == 0 {
-		opt = DefaultLandmarks
-	}
-	if opt < 0 {
-		return 0
-	}
-	return opt
 }
 
 // newDistanceSource builds the distance backend for an instance: the
@@ -152,12 +105,11 @@ func newDistanceSource(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, op
 		return opts.Table, nil
 	}
 	var backend DistBackend
-	parallelism, lazyMaxRows, landmarks := 0, 0, 0
+	parallelism, lazyMaxRows := 0, 0
 	if opts != nil {
 		backend = opts.DistBackend
 		parallelism = opts.Parallelism
 		lazyMaxRows = opts.LazyMaxRows
-		landmarks = opts.Landmarks
 	}
 	switch b := resolveDistBackend(backend, g.N()); b {
 	case BackendDense:
@@ -176,9 +128,8 @@ func newDistanceSource(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, op
 			return nil, &InputError{Param: "threshold", Reason: "bounded distance backend needs a non-NaN reach d_t"}
 		}
 		bt, err := shortestpath.NewBoundedTable(g, shortestpath.BoundedOptions{
-			Reach:     thr.D,
-			MaxRows:   lazyMaxRows,
-			Landmarks: resolveLandmarks(landmarks),
+			Reach:   thr.D,
+			MaxRows: lazyMaxRows,
 		})
 		if err != nil {
 			return nil, err

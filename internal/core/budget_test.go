@@ -473,9 +473,9 @@ func TestExhaustiveBudgetGuards(t *testing.T) {
 	}
 }
 
-// TestParseCostModelAndDefaults covers the flag-value surface and the
-// explicit-option → process-default → built-in resolution chain, including
-// the SetDefaultBudget activation path mscbench uses.
+// TestParseCostModelAndDefaults covers the flag-value surface, the
+// explicit-option → built-in resolution chain, and budget activation: an
+// instance is budgeted exactly when one of its budget options is set.
 func TestParseCostModelAndDefaults(t *testing.T) {
 	for in, want := range map[string]CostModel{
 		"": CostModelAuto, "auto": CostModelAuto, "unit": CostUnit,
@@ -490,23 +490,29 @@ func TestParseCostModelAndDefaults(t *testing.T) {
 		t.Fatal("ParseCostModel(bogus) did not error")
 	}
 
-	SetDefaultCostModel(CostLength)
-	defer SetDefaultCostModel(CostModelAuto)
-	if got := resolveCostModel(CostModelAuto); got != CostLength {
-		t.Fatalf("resolve auto with default length = %v", got)
+	if got := resolveCostModel(CostModelAuto); got != CostUnit {
+		t.Fatalf("resolve auto = %v, want unit", got)
 	}
-	if got := resolveCostModel(CostUnit); got != CostUnit {
-		t.Fatalf("explicit unit must override default, got %v", got)
+	for _, m := range []CostModel{CostUnit, CostLength, CostTable} {
+		if got := resolveCostModel(m); got != m {
+			t.Fatalf("explicit %v resolved to %v", m, got)
+		}
 	}
 
-	// A process-wide budget turns instances built with no budget options
-	// into budgeted ones, priced by the default model installed above.
-	SetDefaultBudget(2)
-	defer SetDefaultBudget(0)
+	// No budget option keeps cardinality placement; a budget alone is
+	// priced by the built-in unit model, and an explicit model wins.
 	g, ps, table := budgetWorld(t, 9, 4, 0.8, 11)
-	inst := budgetInstance(t, g, ps, table, 2, 0.8, Options{})
+	if inst := budgetInstance(t, g, ps, table, 2, 0.8, Options{}); inst.Budgeted() {
+		t.Fatalf("no budget option: budgeted with B=%v", inst.Budget())
+	}
+	inst := budgetInstance(t, g, ps, table, 2, 0.8, Options{Budget: 2})
+	if !inst.Budgeted() || inst.Budget() != 2 || inst.CostModel() != CostUnit {
+		t.Fatalf("budget alone: budgeted=%v B=%v model=%q",
+			inst.Budgeted(), inst.Budget(), inst.CostModel())
+	}
+	inst = budgetInstance(t, g, ps, table, 2, 0.8, Options{Budget: 2, CostModel: CostLength})
 	if !inst.Budgeted() || inst.Budget() != 2 || inst.CostModel() != CostLength {
-		t.Fatalf("process default not applied: budgeted=%v B=%v model=%q",
+		t.Fatalf("budget with length model: budgeted=%v B=%v model=%q",
 			inst.Budgeted(), inst.Budget(), inst.CostModel())
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"msc/internal/shortestpath"
 	"msc/internal/xrand"
@@ -17,8 +16,8 @@ import (
 type CostModel string
 
 const (
-	// CostModelAuto resolves to the process default installed with
-	// SetDefaultCostModel, else to CostUnit.
+	// CostModelAuto resolves to CostUnit (CostTable when Options.Costs is
+	// set).
 	CostModelAuto CostModel = ""
 	// CostUnit prices every candidate at 1, so a budget B admits ⌊B⌋
 	// shortcuts: the cardinality problem in knapsack form. Unit-cost runs
@@ -36,16 +35,6 @@ const (
 	CostTable CostModel = "table"
 )
 
-// defaultCostModel holds the process-wide model used when Options.CostModel
-// is CostModelAuto; empty means CostUnit. Set from the -cost-model flag of
-// the cmds, mirroring SetDefaultEvalMode.
-var defaultCostModel atomic.Value // CostModel
-
-// defaultBudget holds the process-wide knapsack budget applied to instances
-// built without explicit budget options; 0 means cardinality placement.
-// Set from the -budget flag of mscbench.
-var defaultBudget atomic.Value // float64
-
 // ParseCostModel validates a -cost-model flag value; "auto", "unit",
 // "length", and "table" are accepted.
 func ParseCostModel(s string) (CostModel, error) {
@@ -62,38 +51,13 @@ func ParseCostModel(s string) (CostModel, error) {
 	return CostModelAuto, fmt.Errorf("core: unknown cost model %q (want auto, unit, length, or table)", s)
 }
 
-// SetDefaultCostModel sets the cost model used by budgeted instances built
-// with CostModelAuto; CostModelAuto restores the built-in unit default.
-func SetDefaultCostModel(m CostModel) {
-	defaultCostModel.Store(m)
-}
-
-// SetDefaultBudget sets the knapsack budget applied to instances built
-// without explicit budget options; 0 restores cardinality placement.
-func SetDefaultBudget(b float64) {
-	defaultBudget.Store(b)
-}
-
-// resolveCostModel applies the explicit-option → process-default → built-in
-// resolution chain. Unknown non-auto values pass through for NewInstance to
-// reject.
+// resolveCostModel applies the explicit-option → built-in resolution
+// chain. Unknown non-auto values pass through for NewInstance to reject.
 func resolveCostModel(m CostModel) CostModel {
-	if m == CostModelAuto {
-		if d, ok := defaultCostModel.Load().(CostModel); ok {
-			m = d
-		}
-	}
 	if m == CostModelAuto {
 		return CostUnit
 	}
 	return m
-}
-
-func defaultBudgetValue() float64 {
-	if b, ok := defaultBudget.Load().(float64); ok {
-		return b
-	}
-	return 0
 }
 
 // BudgetProblem extends Problem with a knapsack budget over priced
@@ -125,24 +89,13 @@ func asBudgeted(p Problem) (BudgetProblem, bool) {
 }
 
 // initBudget resolves the budget options into the instance's cost state.
-// An instance is budgeted when any of Budget/CostModel/Costs is set
-// explicitly, or when a process-wide budget was installed with
-// SetDefaultBudget; B = 0 is legal (only the empty placement is feasible).
+// An instance is budgeted when any of Budget/CostModel/Costs is set; B = 0
+// is legal (only the empty placement is feasible).
 func (inst *Instance) initBudget(opts *Options) error {
-	var budget float64
-	var model CostModel
-	var costs []float64
-	explicit := false
-	if opts != nil {
-		budget, model, costs = opts.Budget, opts.CostModel, opts.Costs
-		explicit = budget != 0 || model != CostModelAuto || costs != nil
+	if opts == nil || (opts.Budget == 0 && opts.CostModel == CostModelAuto && opts.Costs == nil) {
+		return nil // cardinality instance
 	}
-	if !explicit {
-		budget = defaultBudgetValue()
-		if budget == 0 {
-			return nil // cardinality instance
-		}
-	}
+	budget, model, costs := opts.Budget, opts.CostModel, opts.Costs
 	if math.IsNaN(budget) || math.IsInf(budget, 0) || budget < 0 {
 		return &InputError{Param: "budget", Reason: fmt.Sprintf("budget B = %v must be finite and non-negative", budget)}
 	}

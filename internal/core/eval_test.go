@@ -278,30 +278,17 @@ func TestEvalMergeStress(t *testing.T) {
 }
 
 // TestEvalModeResolution pins the resolution chain: explicit option →
-// process default (SetDefaultEvalMode) → incremental.
+// incremental.
 func TestEvalModeResolution(t *testing.T) {
-	defer SetDefaultEvalMode(EvalModeAuto)
-
 	def := pathInstance(t, 32, &Options{AllowTrivial: true})
 	if def.EvalMode() != EvalIncremental {
 		t.Errorf("auto default: got %q, want %q", def.EvalMode(), EvalIncremental)
 	}
-
-	SetDefaultEvalMode(EvalRebuild)
-	reb := pathInstance(t, 32, &Options{AllowTrivial: true})
-	if reb.EvalMode() != EvalRebuild {
-		t.Errorf("default rebuild: got %q, want %q", reb.EvalMode(), EvalRebuild)
-	}
-	// An explicit option always beats the process default.
-	explicit := pathInstance(t, 32, &Options{AllowTrivial: true, EvalMode: EvalIncremental})
-	if explicit.EvalMode() != EvalIncremental {
-		t.Errorf("explicit incremental under default rebuild: got %q", explicit.EvalMode())
-	}
-
-	SetDefaultEvalMode(EvalModeAuto)
-	restored := pathInstance(t, 32, &Options{AllowTrivial: true})
-	if restored.EvalMode() != EvalIncremental {
-		t.Errorf("after reset: got %q, want %q", restored.EvalMode(), EvalIncremental)
+	for _, m := range []EvalMode{EvalIncremental, EvalRebuild} {
+		explicit := pathInstance(t, 32, &Options{AllowTrivial: true, EvalMode: m})
+		if explicit.EvalMode() != m {
+			t.Errorf("explicit %q: got %q", m, explicit.EvalMode())
+		}
 	}
 }
 

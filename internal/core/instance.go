@@ -203,38 +203,32 @@ type Options struct {
 	// when nil NewInstance builds one per DistBackend.
 	Table shortestpath.DistanceSource
 	// DistBackend selects the distance backend built when Table is nil:
-	// dense all-pairs table, lazy Dijkstra row cache, or (the zero value)
-	// automatic selection — dense below DefaultLazyThreshold nodes, lazy
-	// at or above, unless SetDefaultDistBackend installed a process-wide
-	// choice. Placements, σ/μ/ν values, and all solver work counters
-	// except the Dijkstra and row-cache ones are identical across
-	// backends.
+	// dense all-pairs table, lazy Dijkstra row cache, bounded-reach sparse
+	// rows, or (the zero value) automatic selection — dense below
+	// DefaultLazyThreshold nodes, lazy below DefaultBoundedThreshold, and
+	// bounded at or above it. Placements, σ/μ/ν values, and all solver
+	// work counters except the Dijkstra and row-cache ones are identical
+	// across backends.
 	DistBackend DistBackend
 	// Parallelism bounds the workers used to build the dense table; <= 0
-	// resolves like the solvers' Parallelism option (package default,
-	// else GOMAXPROCS). The table is identical for every worker count.
+	// resolves like the solvers' Parallelism option (GOMAXPROCS). The
+	// table is identical for every worker count.
 	Parallelism int
 	// LazyMaxRows caps the lazy backend's cached non-pinned rows; 0 means
 	// unbounded. Social-pair endpoint rows are always pinned and exempt.
 	// The bounded backend applies the same cap to its sparse rows.
 	LazyMaxRows int
-	// Landmarks is the ALT landmark count the bounded backend precomputes
-	// for triangle-inequality lower bounds: 0 resolves through the
-	// process default (SetDefaultLandmarks) to DefaultLandmarks, negative
-	// disables the layer. Ignored by the dense and lazy backends.
-	Landmarks int
 	// EvalMode selects how searches built from the instance maintain their
 	// state across Add commits: incremental O(n) row merges with delta
 	// gains rescans (the default), or the full-rebuild reference path.
 	// Placements, σ values, and gains arrays are identical across modes;
-	// the zero value resolves via SetDefaultEvalMode.
+	// the zero value resolves to EvalIncremental.
 	EvalMode EvalMode
 	// Survive selects the failure model the objective must survive:
 	// SurviveNone (the paper's fault-free σ), SurviveShortcut, or
 	// SurviveNode (survive.go). Under a non-none mode NewSearch returns the
 	// worst-case survivable evaluator and the solvers optimize (σ⁻, σ)
-	// lexicographically; the zero value resolves via
-	// SetDefaultSurvivability.
+	// lexicographically; the zero value resolves to SurviveNone.
 	Survive Survivability
 	// ExcludePairEndpoints removes the important-pair nodes from the
 	// candidate shortcut universe, so shortcuts may only land on relay
@@ -248,13 +242,12 @@ type Options struct {
 	// cardinality budget k, and solvers charge each shortcut its CostModel
 	// price. B = 0 is legal and admits only the empty placement. Negative,
 	// NaN, or infinite budgets are rejected with a typed *InputError. The
-	// zero value with no other budget option resolves via SetDefaultBudget
-	// (0 keeps cardinality placement).
+	// zero value with no other budget option keeps cardinality placement.
 	Budget float64
 	// CostModel prices candidates on budgeted instances: CostUnit (1 per
 	// shortcut, so B = k reproduces cardinality placement bit for bit),
 	// CostLength (1 + D0(a,b)/d_t), or CostTable (explicit Costs). The
-	// zero value resolves via SetDefaultCostModel.
+	// zero value resolves to CostUnit.
 	CostModel CostModel
 	// Costs supplies the per-candidate price table for CostTable, one
 	// positive entry per candidate index (+Inf marks an unaffordable

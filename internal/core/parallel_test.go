@@ -311,7 +311,7 @@ func TestTriRowBounds(t *testing.T) {
 	}
 }
 
-// TestResolveParallelism covers the option plumbing and the package
+// TestResolveParallelism covers the option plumbing and the GOMAXPROCS
 // default.
 func TestResolveParallelism(t *testing.T) {
 	if got := ResolveParallelism(5); got != 5 {
@@ -323,16 +323,11 @@ func TestResolveParallelism(t *testing.T) {
 	if got := ResolveParallelism(0); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("ResolveParallelism(0) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
 	}
-	SetDefaultParallelism(3)
-	if got := ResolveParallelism(0); got != 3 {
-		t.Errorf("after SetDefaultParallelism(3): ResolveParallelism(0) = %d", got)
+	if got := ResolveParallelism(-3); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("ResolveParallelism(-3) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := ResolveParallelism(2); got != 2 {
-		t.Errorf("explicit value must win over default: got %d", got)
-	}
-	SetDefaultParallelism(0)
-	if got := ResolveParallelism(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("after reset: ResolveParallelism(0) = %d", got)
+	if got := resolveOptions(nil); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("resolveOptions(nil) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
 	}
 	if got := resolveOptions([]Option{Parallelism(7)}); got != 7 {
 		t.Errorf("resolveOptions(Parallelism(7)) = %d", got)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"msc/internal/graph"
 	"msc/internal/telemetry"
@@ -20,8 +19,7 @@ import (
 type Survivability string
 
 const (
-	// SurviveAuto resolves to the process default installed with
-	// SetDefaultSurvivability, else to SurviveNone.
+	// SurviveAuto resolves to SurviveNone.
 	SurviveAuto Survivability = ""
 	// SurviveNone is the paper's fault-free objective: no failure
 	// scenarios, σ⁻ degenerates to σ.
@@ -41,11 +39,6 @@ const (
 	SurviveNode Survivability = "node"
 )
 
-// defaultSurvivability holds the process-wide mode used when
-// Options.Survive is SurviveAuto; empty means SurviveNone. Set from the
-// -survive flag of the cmds, mirroring SetDefaultEvalMode.
-var defaultSurvivability atomic.Value // Survivability
-
 // ParseSurvivability validates a -survive flag value; "auto", "none",
 // "shortcut", and "node" are accepted.
 func ParseSurvivability(s string) (Survivability, error) {
@@ -62,21 +55,9 @@ func ParseSurvivability(s string) (Survivability, error) {
 	return SurviveAuto, fmt.Errorf("core: unknown survivability mode %q (want auto, none, shortcut, or node)", s)
 }
 
-// SetDefaultSurvivability sets the failure model used by instances built
-// with SurviveAuto; SurviveAuto restores the built-in fault-free default.
-func SetDefaultSurvivability(m Survivability) {
-	defaultSurvivability.Store(m)
-}
-
-// resolveSurvivability applies the explicit-option → process-default →
-// built-in resolution chain. Unknown non-auto values pass through for
-// NewInstance to reject.
+// resolveSurvivability applies the explicit-option → built-in resolution
+// chain. Unknown non-auto values pass through for NewInstance to reject.
 func resolveSurvivability(m Survivability) Survivability {
-	if m == SurviveAuto {
-		if d, ok := defaultSurvivability.Load().(Survivability); ok {
-			m = d
-		}
-	}
 	if m == SurviveAuto {
 		return SurviveNone
 	}

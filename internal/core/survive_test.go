@@ -351,8 +351,8 @@ func subUniverse(inst *Instance, count int) []int {
 	return sub
 }
 
-// TestParseSurvivability covers the flag-value surface and the process
-// default resolution chain.
+// TestParseSurvivability covers the flag-value surface and the
+// explicit-option → built-in resolution chain.
 func TestParseSurvivability(t *testing.T) {
 	for in, want := range map[string]Survivability{
 		"": SurviveAuto, "auto": SurviveAuto, "none": SurviveNone,
@@ -366,12 +366,12 @@ func TestParseSurvivability(t *testing.T) {
 	if _, err := ParseSurvivability("bogus"); err == nil {
 		t.Fatal("ParseSurvivability(bogus) did not error")
 	}
-	SetDefaultSurvivability(SurviveShortcut)
-	defer SetDefaultSurvivability(SurviveAuto)
-	if got := resolveSurvivability(SurviveAuto); got != SurviveShortcut {
-		t.Fatalf("resolve auto with default shortcut = %v", got)
+	if got := resolveSurvivability(SurviveAuto); got != SurviveNone {
+		t.Fatalf("resolve auto = %v, want none", got)
 	}
-	if got := resolveSurvivability(SurviveNone); got != SurviveNone {
-		t.Fatalf("explicit none must override default, got %v", got)
+	for _, m := range []Survivability{SurviveNone, SurviveShortcut, SurviveNode} {
+		if got := resolveSurvivability(m); got != m {
+			t.Fatalf("explicit %v resolved to %v", m, got)
+		}
 	}
 }

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"msc/internal/core"
-	"msc/internal/failprob"
 	"msc/internal/gen/rgg"
 	"msc/internal/gen/social"
 	"msc/internal/graph"
-	"msc/internal/pairs"
 	"msc/internal/shortestpath"
 	"msc/internal/telemetry"
 	"msc/internal/xrand"
@@ -26,7 +24,24 @@ type Config struct {
 	// experiment performs (currently the Table I/II grid cells). Results
 	// are identical with and without a sink.
 	Sink telemetry.Sink
+	// Options is the base of every instance an experiment builds (mscbench
+	// fills it from its solver flags); each site sets AllowTrivial, its
+	// distance table and its own fields on a copy. Its Parallelism is
+	// also the worker count of every solver call.
+	Options core.Options
 }
+
+// instOpts returns a copy of c.Options for an experiment instance over
+// table; a nil table lets the instance build its own distance backend.
+func (c Config) instOpts(table shortestpath.DistanceSource) *core.Options {
+	o := c.Options
+	o.AllowTrivial = true
+	o.Table = table
+	return &o
+}
+
+// par is the solver option carrying c.Options.Parallelism.
+func (c Config) par() core.Option { return core.Parallelism(c.Options.Parallelism) }
 
 func (c Config) rng(stream int64) *xrand.Rand {
 	// Independent deterministic stream per use-site.
@@ -83,22 +98,4 @@ func (c Config) socialDataset() dataset {
 		panic(fmt.Sprintf("experiments: social dataset: %v", err))
 	}
 	return dataset{name: "Gowalla", g: net.Graph, table: shortestpath.NewTable(net.Graph, 0)}
-}
-
-// instance samples m violating pairs at threshold pt and wraps everything
-// as a core instance with budget k.
-func (c Config) instance(ds dataset, pt float64, m, k int, stream int64) *core.Instance {
-	thr := failprob.NewThreshold(pt)
-	ps, err := pairs.SampleViolating(ds.table, thr.D, m, c.rng(stream))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: sample pairs on %s (p_t=%v, m=%d): %v", ds.name, pt, m, err))
-	}
-	inst, err := core.NewInstance(ds.g, ps, thr, k, &core.Options{
-		AllowTrivial: true, // sweeps include k close to m
-		Table:        ds.table,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: instance on %s: %v", ds.name, err))
-	}
-	return inst
 }

@@ -60,23 +60,21 @@ func (c Config) Ext4() *Figure {
 	blindY := make([]float64, 0, len(ks))
 	rndY := make([]float64, 0, len(ks))
 	for _, k := range ks {
-		weighted, err := core.NewInstance(ds.g, ps, thr, k, &core.Options{
-			AllowTrivial: true, Table: ds.table, PairWeights: weights,
-		})
+		weightedOpts := c.instOpts(ds.table)
+		weightedOpts.PairWeights = weights
+		weighted, err := core.NewInstance(ds.g, ps, thr, k, weightedOpts)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: ext4 weighted instance: %v", err))
 		}
-		unweighted, err := core.NewInstance(ds.g, ps, thr, k, &core.Options{
-			AllowTrivial: true, Table: ds.table,
-		})
+		unweighted, err := core.NewInstance(ds.g, ps, thr, k, c.instOpts(ds.table))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: ext4 unweighted instance: %v", err))
 		}
-		aware := core.Sandwich(weighted).Best
+		aware := core.Sandwich(weighted, c.par()).Best
 		awareY = append(awareY, float64(aware.Sigma))
-		blind := core.Sandwich(unweighted).Best
+		blind := core.Sandwich(unweighted, c.par()).Best
 		blindY = append(blindY, float64(weighted.Sigma(blind.Selection)))
-		rnd := mustRandom(weighted, trials, c.rng(985+int64(k)))
+		rnd := c.mustRandom(weighted, trials, c.rng(985+int64(k)))
 		rndY = append(rndY, float64(rnd.Sigma))
 	}
 	fig.Series = append(fig.Series,

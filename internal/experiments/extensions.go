@@ -52,16 +52,16 @@ func (c Config) Ext1() []*Figure {
 		avgY := make([]float64, 0, len(ks))
 		rndY := make([]float64, 0, len(ks))
 		for _, k := range ks {
-			inst, err := core.NewInstance(ds.g, ps, thr, k, &core.Options{AllowTrivial: true, Table: ds.table})
+			inst, err := core.NewInstance(ds.g, ps, thr, k, c.instOpts(ds.table))
 			if err != nil {
 				panic(fmt.Sprintf("experiments: ext1 instance: %v", err))
 			}
-			aaY = append(aaY, float64(core.Sandwich(inst).Best.Sigma))
+			aaY = append(aaY, float64(core.Sandwich(inst, c.par()).Best.Sigma))
 			diam := baselines.FarthestPairs(ds.g, ds.table, k)
 			diamY = append(diamY, float64(inst.SigmaEdges(diam)))
 			avg := baselines.AvgDistanceGreedy(ds.g, ds.table, k, sampleSize, c.rng(910+int64(di)))
 			avgY = append(avgY, float64(inst.SigmaEdges(avg)))
-			rndY = append(rndY, float64(mustRandom(inst, trials, c.rng(920+int64(di))).Sigma))
+			rndY = append(rndY, float64(c.mustRandom(inst, trials, c.rng(920+int64(di))).Sigma))
 		}
 		fig.Series = append(fig.Series,
 			Series{Name: "MSC (AA)", Y: aaY},

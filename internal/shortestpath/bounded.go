@@ -17,8 +17,8 @@ import (
 
 // rowBytesResident tracks the bytes of distance-row payload currently
 // resident across every row cache in the process: LazyTable dense rows
-// (8·n per entry), BoundedTable sparse rows, dense rows materialized from
-// them, and ALT landmark potential rows. It feeds the
+// (8·n per entry), BoundedTable sparse rows, and dense rows materialized
+// from them. It feeds the
 // msc_row_bytes_resident gauge and the RunRecord field of the same name,
 // turning the "row memory scales with the d_t-ball, not n" claim into an
 // observable number.
@@ -30,7 +30,7 @@ func RowBytesResident() int64 { return rowBytesResident.Load() }
 
 func init() {
 	obs.NewGaugeFunc(obs.Default(), "msc_row_bytes_resident",
-		"Bytes of distance-row payload resident across all row caches (lazy dense rows, bounded sparse rows, materialized dense rows, landmark potentials).",
+		"Bytes of distance-row payload resident across all row caches (lazy dense rows, bounded sparse rows, materialized dense rows).",
 		func() float64 { return float64(rowBytesResident.Load()) })
 }
 
@@ -123,9 +123,8 @@ func DecodeSparseRow(data []byte) (SparseRow, error) {
 }
 
 // BoundedOptions tune a BoundedTable. Reach is required; the zero values
-// of the remaining fields (unbounded cache, default shards, no landmarks)
-// are reasonable for tests, while core.NewInstance passes the resolved
-// landmark count.
+// of the remaining fields (unbounded cache, default shards) are
+// reasonable defaults.
 type BoundedOptions struct {
 	// Reach is the exploration bound: rows hold exactly the nodes within
 	// Reach of the source. For the MSC objective Reach = d_t suffices —
@@ -139,10 +138,6 @@ type BoundedOptions struct {
 	MaxRows int
 	// Shards fixes the cache shard count; 0 picks the LazyTable default.
 	Shards int
-	// Landmarks is the number of ALT landmarks precomputed at
-	// construction for triangle-inequality lower bounds (0 = none). Each
-	// landmark costs one full Dijkstra and 4·n bytes.
-	Landmarks int
 }
 
 // BoundedStats is a point-in-time snapshot of a BoundedTable's activity.
@@ -162,9 +157,6 @@ type BoundedStats struct {
 	// DenseRows counts rows materialized to dense []float64 form via Row;
 	// those are kept for the table's lifetime.
 	DenseRows int
-	// LandmarkPrunes counts Dist queries answered +Inf straight from the
-	// ALT lower bound, without touching (or computing) a row.
-	LandmarkPrunes int64
 }
 
 // BoundedTable is a DistanceSource specialized for threshold objectives:
@@ -178,14 +170,12 @@ type BoundedStats struct {
 // one sync.Once per entry, FIFO eviction under MaxRows, Pin for
 // never-evict rows. Dijkstra scratch (heap, distance buffer, touched
 // list) lives in a sync.Pool so warm rows allocate only their own sparse
-// payload. An optional ALT landmark layer answers provably-unreachable
-// Dist queries without a row at all.
+// payload.
 type BoundedTable struct {
 	g      *graph.Graph
 	n      int
 	reach  float64
 	shards []boundedShard
-	lm     *Landmarks
 
 	scratch sync.Pool // *boundedScratch
 
@@ -201,7 +191,6 @@ type BoundedTable struct {
 	computes  atomic.Int64
 	evictions atomic.Int64
 	rowBytes  atomic.Int64
-	lmPrunes  atomic.Int64
 }
 
 type boundedShard struct {
@@ -275,12 +264,6 @@ func NewBoundedTable(g *graph.Graph, opts BoundedOptions) (*BoundedTable, error)
 			dist: newDistSlice(t.n),
 		}
 	}
-	if opts.Landmarks > 0 {
-		t.lm = NewLandmarks(g, opts.Landmarks)
-		if t.lm != nil {
-			rowBytesResident.Add(t.lm.Bytes())
-		}
-	}
 	return t, nil
 }
 
@@ -289,9 +272,6 @@ func (t *BoundedTable) N() int { return t.n }
 
 // Reach returns the exploration bound rows were computed at.
 func (t *BoundedTable) Reach() float64 { return t.reach }
-
-// Landmarks returns the table's ALT layer, or nil if none was built.
-func (t *BoundedTable) Landmarks() *Landmarks { return t.lm }
 
 // Pin marks rows as never-evictable, as in LazyTable.Pin.
 func (t *BoundedTable) Pin(nodes []graph.NodeID) {
@@ -315,14 +295,8 @@ func (t *BoundedTable) Pin(nodes []graph.NodeID) {
 }
 
 // Dist returns the stored distance between u and v: the quantized true
-// distance if v is within reach of u, +Inf otherwise. When the landmark
-// lower bound already proves d(u,v) > reach the row is not touched — the
-// answer would be +Inf either way, so the fast path is bit-identical.
+// distance if v is within reach of u, +Inf otherwise.
 func (t *BoundedTable) Dist(u, v graph.NodeID) float64 {
-	if t.lm != nil && t.lm.LowerBound(u, v) > t.reach {
-		t.lmPrunes.Add(1)
-		return Inf
-	}
 	return t.SparseRow(u).At(v)
 }
 
@@ -470,12 +444,11 @@ func (t *BoundedTable) computeRow(src graph.NodeID) SparseRow {
 // which is how tests use it.
 func (t *BoundedTable) Stats() BoundedStats {
 	s := BoundedStats{
-		Hits:           t.hits.Load(),
-		Misses:         t.misses.Load(),
-		Computes:       t.computes.Load(),
-		Evictions:      t.evictions.Load(),
-		RowBytes:       t.rowBytes.Load(),
-		LandmarkPrunes: t.lmPrunes.Load(),
+		Hits:      t.hits.Load(),
+		Misses:    t.misses.Load(),
+		Computes:  t.computes.Load(),
+		Evictions: t.evictions.Load(),
+		RowBytes:  t.rowBytes.Load(),
 	}
 	for i := range t.shards {
 		sh := &t.shards[i]

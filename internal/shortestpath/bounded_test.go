@@ -375,31 +375,6 @@ func TestLandmarksCapAndBytes(t *testing.T) {
 	}
 }
 
-func TestBoundedTableLandmarkPrune(t *testing.T) {
-	// On a unit line graph d(0, n-1) = n-1, and landmark potentials make
-	// that lower bound exact, so a reach-2 table answers far queries from
-	// the ALT layer without computing a row.
-	g := lineGraph(t, 50)
-	bt, err := NewBoundedTable(g, BoundedOptions{Reach: 2, Landmarks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bt.Dist(0, 49); !math.IsInf(got, 1) {
-		t.Fatalf("Dist(0,49) = %v, want +Inf", got)
-	}
-	st := bt.Stats()
-	if st.LandmarkPrunes == 0 {
-		t.Error("far query did not use the landmark prune path")
-	}
-	if st.Computes != 0 {
-		t.Errorf("landmark-pruned query computed %d rows", st.Computes)
-	}
-	// A near query still goes through the row and stays exact.
-	if got := bt.Dist(10, 12); got != 2 {
-		t.Errorf("Dist(10,12) = %v, want 2", got)
-	}
-}
-
 // --- Overlay sparse fast paths --------------------------------------------
 
 // TestOverlaySparseMatchesDense pins the Overlay SparseSource fast paths:

@@ -10,10 +10,12 @@ import (
 // nodes with precomputed full distance rows ("potentials"). For any pair
 // (u,v) the triangle inequality gives d(u,v) ≥ |d(L,u) − d(L,v)| for
 // every landmark L, so the best such difference is a certified lower
-// bound on the true distance. BoundedTable uses it to answer "farther
-// than reach" queries without touching a row; internal/core uses the
-// same certificates to skip candidate pairs whose optimistic gain is
-// provably zero.
+// bound on the true distance.
+//
+// No solver path uses it: a bounded-reach row already answers every
+// "farther than d_t" query the MSC objective asks. It stays only because
+// the perfbench harness times NewLandmarks for its
+// shortestpath.landmarks_s probe, and goes when that probe does.
 //
 // Potentials are stored as float32 to keep the layer at 4·n bytes per
 // landmark; LowerBound subtracts the worst-case float32 rounding error

@@ -195,8 +195,8 @@ type RunRecord struct {
 	// WallMS is the run's wall-clock time in milliseconds.
 	WallMS float64 `json:"wall_ms"`
 	// RowBytesResident is the process-wide distance-row payload resident
-	// at emission time (lazy dense rows, bounded sparse rows, landmark
-	// potentials); 0 for runs that predate the field. Unlike the
+	// at emission time (lazy dense rows, bounded sparse rows, dense rows
+	// materialized from them); 0 for runs that predate the field. Unlike the
 	// counters, it is a level, not a delta — the number behind the
 	// "bytes/row scales with the d_t-ball" claim.
 	RowBytesResident int64 `json:"row_bytes_resident"`
