@@ -168,19 +168,18 @@ func run(ctx context.Context) (retErr error) {
 			// Config.Sink emits: no single σ applies, so Sigma is −1 by
 			// schema convention.
 			sink.Emit(telemetry.RunRecord{
-				Name:        id,
-				Algorithm:   "experiment",
-				Seed:        *seed,
-				Workers:     solver.Par,
-				DistBackend: solver.DistBackend,
-				EvalMode:    solver.EvalMode,
-				Survive:     solver.Survive,
-				Quick:       *quick,
-				Budget:      opts.Budget,
-				CostModel:   benchCostModel(opts.Budget, opts.CostModel),
-				Sigma:       -1,
-				SigmaWorst:  -1,
-				WallMS:      float64(elapsed.Nanoseconds()) / 1e6,
+				Name:       id,
+				Algorithm:  "experiment",
+				Seed:       *seed,
+				Workers:    solver.Par,
+				EvalMode:   solver.EvalMode,
+				Survive:    solver.Survive,
+				Quick:      *quick,
+				Budget:     opts.Budget,
+				CostModel:  benchCostModel(opts.Budget, opts.CostModel),
+				Sigma:      -1,
+				SigmaWorst: -1,
+				WallMS:     float64(elapsed.Nanoseconds()) / 1e6,
 
 				RowBytesResident: shortestpath.RowBytesResident(),
 				Counters:         telemetry.Global().Snapshot().Sub(before),

@@ -108,26 +108,22 @@ func run(ctx context.Context) error {
 }
 
 // writeInstance samples threshold-violating pairs and streams the
-// instance to w. The distance backend and sampler follow the node count:
-// small networks keep the dense table and the exhaustive sampler (every
-// violating pair enumerable, byte-stable output for existing seeds);
-// above the dense threshold the exhaustive ~n²/2 scan is the bottleneck,
-// so rejection sampling over point queries takes over, backed by lazy
-// rows up to the bounded threshold and by bounded-reach sparse rows past
-// it — at 10⁶ nodes each trial touches one d_t-ball row instead of an
-// 8 MB dense row.
+// instance to w. The distance backend and sampler follow the node count,
+// as NewInstance picks backends: small networks keep the dense table and
+// the exhaustive sampler (every violating pair enumerable, byte-stable
+// output for existing seeds); from DefaultLazyThreshold on the exhaustive
+// ~n²/2 scan is the bottleneck, so rejection sampling over point queries
+// takes over, backed by bounded-reach sparse rows — at 10⁶ nodes each
+// trial touches one d_t-ball row instead of an 8 MB dense row.
 func writeInstance(w *os.File, g *msc.Graph, m int, pt float64, k int, rng *msc.Rand) error {
 	thr := msc.NewThreshold(pt)
 	var (
 		ps  *msc.PairSet
 		err error
 	)
-	switch n := g.N(); {
-	case n < msc.DefaultLazyThreshold:
+	if g.N() < msc.DefaultLazyThreshold {
 		ps, err = msc.SampleViolatingPairs(msc.NewDistanceTable(g), thr, m, rng)
-	case n < msc.DefaultBoundedThreshold:
-		ps, err = msc.SampleViolatingPairsRandom(msc.NewLazyDistanceTable(g, msc.LazyTableOptions{}), thr, m, rng)
-	default:
+	} else {
 		table, terr := msc.NewBoundedDistanceTable(g, msc.BoundedTableOptions{Reach: thr.D})
 		if terr != nil {
 			return terr

@@ -329,7 +329,7 @@ func run(ctx context.Context) (retErr error) {
 			Algorithm:        *alg,
 			Seed:             *seed,
 			Workers:          solver.Par,
-			DistBackend:      solver.DistBackend,
+			DistBackend:      inst.Backend(),
 			EvalMode:         solver.EvalMode,
 			Survive:          string(inst.Survive()),
 			N:                inst.N(),

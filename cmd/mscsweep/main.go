@@ -1,8 +1,8 @@
 // Command mscsweep runs fleet-scale benchmark sweeps: it expands a
 // declarative scenario matrix (graph family × n × m × k × solver ×
-// dist-backend × eval-mode × parallelism × seeds) into runs, fans them
-// across a bounded pool of worker processes (re-execing mscgen, mscplace,
-// and mscbench with -jsonl), aggregates the schema-validated run records
+// eval-mode × parallelism × seeds) into runs, fans them across a bounded
+// pool of worker processes (re-execing mscgen, mscplace, and mscbench
+// with -jsonl), aggregates the schema-validated run records
 // into a canonical BENCH_<host>.json trajectory (per-scenario medians and
 // IQRs), and optionally diffs the result against a committed baseline
 // with a noise-aware regression gate.

@@ -14,27 +14,24 @@ import (
 // core.Options value a command hands to every instance it builds; Par is
 // also the worker count it hands to every solver call.
 type SolverFlags struct {
-	Par         int
-	DistBackend string
-	EvalMode    string
-	Survive     string
-	CostModel   string
-	Budget      float64
+	Par       int
+	EvalMode  string
+	Survive   string
+	CostModel string
+	Budget    float64
 	// CostTable is the path of mscplace's -cost-table flag, which the
 	// command registers itself; a table prices shortcuts, so Options
 	// treats it as a cost-model choice. Empty where no table is given.
 	CostTable string
 }
 
-// AddSolverFlags registers -par, -dist-backend, -eval, -survive,
-// -cost-model and -budget on fs and returns the SolverFlags receiving
-// their values after fs.Parse.
+// AddSolverFlags registers -par, -eval, -survive, -cost-model and
+// -budget on fs and returns the SolverFlags receiving their values after
+// fs.Parse.
 func AddSolverFlags(fs *flag.FlagSet) *SolverFlags {
 	f := &SolverFlags{}
 	fs.IntVar(&f.Par, "par", 0,
 		"candidate-scan workers: 1 = serial, 0 = GOMAXPROCS (results are identical either way)")
-	fs.StringVar(&f.DistBackend, "dist-backend", "auto",
-		"distance backend: auto|dense|lazy|bounded (auto = dense for small networks, lazy Dijkstra row cache above the node threshold, bounded-reach sparse rows at million-node scale)")
 	fs.StringVar(&f.EvalMode, "eval", "auto",
 		"search evaluation mode: auto|incremental|rebuild (incremental = O(n) row merges and delta gains rescans on Add; rebuild = full recompute reference path; placements are identical either way)")
 	fs.StringVar(&f.Survive, "survive", "auto",
@@ -52,9 +49,6 @@ func AddSolverFlags(fs *flag.FlagSet) *SolverFlags {
 func (f *SolverFlags) Options() (core.Options, error) {
 	var o core.Options
 	var err error
-	if o.DistBackend, err = core.ParseDistBackend(f.DistBackend); err != nil {
-		return core.Options{}, err
-	}
 	if o.EvalMode, err = core.ParseEvalMode(f.EvalMode); err != nil {
 		return core.Options{}, err
 	}

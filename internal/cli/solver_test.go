@@ -26,21 +26,21 @@ func TestSolverFlagsDefaultsAreZeroOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.DistBackend != core.BackendAuto || o.EvalMode != core.EvalModeAuto || o.Survive != core.SurviveAuto ||
+	if o.EvalMode != core.EvalModeAuto || o.Survive != core.SurviveAuto ||
 		o.CostModel != core.CostModelAuto || o.Budget != 0 || o.Parallelism != 0 {
 		t.Fatalf("default flags built %+v, want zero-valued solver options", o)
 	}
 }
 
 func TestSolverFlagsBuildOptions(t *testing.T) {
-	_, o, err := parseSolverFlags(t, "-par", "3", "-dist-backend", "lazy", "-eval", "rebuild",
+	_, o, err := parseSolverFlags(t, "-par", "3", "-eval", "rebuild",
 		"-survive", "node", "-cost-model", "length", "-budget", "2.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Options{Parallelism: 3, DistBackend: core.BackendLazy, EvalMode: core.EvalRebuild,
+	want := core.Options{Parallelism: 3, EvalMode: core.EvalRebuild,
 		Survive: core.SurviveNode, CostModel: core.CostLength, Budget: 2.5}
-	if o.Parallelism != want.Parallelism || o.DistBackend != want.DistBackend || o.EvalMode != want.EvalMode ||
+	if o.Parallelism != want.Parallelism || o.EvalMode != want.EvalMode ||
 		o.Survive != want.Survive || o.CostModel != want.CostModel || o.Budget != want.Budget {
 		t.Fatalf("built %+v, want %+v", o, want)
 	}
@@ -65,7 +65,6 @@ func TestSolverFlagsCostTable(t *testing.T) {
 
 func TestSolverFlagsRejections(t *testing.T) {
 	for _, args := range [][]string{
-		{"-dist-backend", "sparse"},
 		{"-eval", "fast"},
 		{"-survive", "edge"},
 		{"-cost-model", "free"},

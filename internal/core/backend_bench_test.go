@@ -8,6 +8,7 @@ import (
 	"msc/internal/failprob"
 	"msc/internal/graph"
 	"msc/internal/pairs"
+	"msc/internal/shortestpath"
 	"msc/internal/xrand"
 )
 
@@ -50,7 +51,23 @@ func benchInputs(b *testing.B, n, m int) (*graph.Graph, *pairs.Set) {
 	return g, set
 }
 
-func benchNewInstance(b *testing.B, backend DistBackend) {
+// denseTable and boundedTable build the two distance backends inside the
+// timed region, as NewInstance would pick them by node count.
+func denseTable(b *testing.B, g *graph.Graph, _ failprob.Threshold) shortestpath.DistanceSource {
+	return shortestpath.NewTable(g, 0)
+}
+
+func boundedTable(b *testing.B, g *graph.Graph, thr failprob.Threshold) shortestpath.DistanceSource {
+	t, err := shortestpath.NewBoundedTable(g, shortestpath.BoundedOptions{Reach: thr.D})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return t
+}
+
+type tableFunc func(*testing.B, *graph.Graph, failprob.Threshold) shortestpath.DistanceSource
+
+func benchNewInstance(b *testing.B, table tableFunc) {
 	for _, shape := range []struct{ n, m int }{{200, 50}, {1000, 50}} {
 		b.Run(fmt.Sprintf("n%d_m%d", shape.n, shape.m), func(b *testing.B) {
 			g, ps := benchInputs(b, shape.n, shape.m)
@@ -58,7 +75,7 @@ func benchNewInstance(b *testing.B, backend DistBackend) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				inst, err := NewInstance(g, ps, thr, 4, &Options{AllowTrivial: true, DistBackend: backend})
+				inst, err := NewInstance(g, ps, thr, 4, &Options{AllowTrivial: true, Table: table(b, g, thr)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -71,20 +88,20 @@ func benchNewInstance(b *testing.B, backend DistBackend) {
 // BenchmarkNewInstanceDense measures eager instance construction: n
 // Dijkstras plus the n×n table, regardless of how many rows the solver
 // will read.
-func BenchmarkNewInstanceDense(b *testing.B) { benchNewInstance(b, BackendDense) }
+func BenchmarkNewInstanceDense(b *testing.B) { benchNewInstance(b, denseTable) }
 
-// BenchmarkNewInstanceLazy measures lazy instance construction: only the
-// ≤2m pair-endpoint rows are computed (for the σ(∅) baseline); everything
-// else is deferred until a solver touches it.
-func BenchmarkNewInstanceLazy(b *testing.B) { benchNewInstance(b, BackendLazy) }
+// BenchmarkNewInstanceBounded measures bounded instance construction: only
+// the d_t-balls of the ≤2m pair endpoints are computed (for the σ(∅)
+// baseline); everything else is deferred until a solver touches it.
+func BenchmarkNewInstanceBounded(b *testing.B) { benchNewInstance(b, boundedTable) }
 
-func benchGreedyEndToEnd(b *testing.B, backend DistBackend) {
+func benchGreedyEndToEnd(b *testing.B, table tableFunc) {
 	g, ps := benchInputs(b, 200, 20)
 	thr := failprob.Threshold{P: 1 - math.Exp(-0.8), D: 0.8}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inst, err := NewInstance(g, ps, thr, 3, &Options{AllowTrivial: true, DistBackend: backend})
+		inst, err := NewInstance(g, ps, thr, 3, &Options{AllowTrivial: true, Table: table(b, g, thr)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,9 +109,10 @@ func benchGreedyEndToEnd(b *testing.B, backend DistBackend) {
 	}
 }
 
-// BenchmarkGreedySigmaDense / ...Lazy time construction plus a full greedy
-// run, the workload the auto-selection threshold trades off: the lazy
-// backend wins construction but pays a cache lookup per row read.
-func BenchmarkGreedySigmaDense(b *testing.B) { benchGreedyEndToEnd(b, BackendDense) }
+// BenchmarkGreedySigmaDense / ...Bounded time construction plus a full
+// greedy run on a 200-node network, the workload DefaultLazyThreshold
+// trades off: the bounded backend wins construction but pays a cache
+// lookup and a binary search per distance read.
+func BenchmarkGreedySigmaDense(b *testing.B) { benchGreedyEndToEnd(b, denseTable) }
 
-func BenchmarkGreedySigmaLazy(b *testing.B) { benchGreedyEndToEnd(b, BackendLazy) }
+func BenchmarkGreedySigmaBounded(b *testing.B) { benchGreedyEndToEnd(b, boundedTable) }

@@ -16,89 +16,81 @@ import (
 	"msc/internal/xrand"
 )
 
-// This file extends the backend-differential suite to the bounded sparse
-// backend. The bounded metric is declared to differ from dense/lazy in
-// exactly two ways — distances beyond d_t read +Inf, in-ball distances
-// are float32-quantized — and the solver only ever compares distances
-// against d_t, so placements must still be byte-identical. To make that a
-// hard equality rather than a probabilistic one, these tests use DYADIC
-// edge lengths (integer multiples of 2⁻¹⁰, magnitudes far below 2¹⁴):
-// every path sum is then exactly representable in float32 and float64
-// alike, so quantization is lossless and any divergence the suite sees is
-// a real truncation bug, not a rounding artifact. The production backend
-// accepts the ≈1e-7 relative quantization as its metric; the declared
-// contract lives in shortestpath.SparseSource.
+// This file is the backend-differential suite: for every placement
+// algorithm, an instance built on the dense table and one built on the
+// bounded sparse table must produce byte-identical placements, identical
+// σ/μ/ν values, and identical work counters (modulo the Dijkstra/row-cache
+// counters the backends are allowed to differ in —
+// CounterSnapshot.BackendInvariant). The graphs carry arbitrary float64
+// edge lengths: the two backends compute the same float64 metric, and the
+// bounded one only truncates it beyond d_t, which the objective never
+// observes. Run under -race it also certifies the bounded row cache
+// against the solvers' concurrent row access.
 
-// dyadicConnectedGraph is randomConnectedGraph with every edge length
-// snapped to max(1, round(l·1024))/1024.
-func dyadicConnectedGraph(t *testing.T, n, extra int, rng *xrand.Rand) *graph.Graph {
+// boundedPair builds a dense-backed and a bounded-backed instance over the
+// same graph, pair set, threshold, and budget. The bounded table's reach
+// is reachFactor·d_t: 1 is the table NewInstance builds itself, a larger
+// factor a table shared across instances of smaller thresholds.
+func boundedPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand, reachFactor float64) (dense, bounded *Instance) {
 	t.Helper()
-	dyadic := func(l float64) float64 {
-		q := math.Round(l * 1024)
-		if q < 1 {
-			q = 1
-		}
-		return q / 1024
-	}
-	b := graph.NewBuilder(n)
-	perm := rng.Perm(n)
-	for i := 1; i < n; i++ {
-		b.AddEdge(graph.NodeID(perm[i]), graph.NodeID(perm[rng.Intn(i)]), dyadic(0.1+rng.Float64()))
-	}
-	for e := 0; e < extra; e++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v {
-			b.AddEdge(graph.NodeID(u), graph.NodeID(v), dyadic(0.1+rng.Float64()))
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-// boundedPair builds a dense-backed and a bounded-backed instance over
-// the same dyadic graph, pair set, threshold, and budget. maxRows caps
-// the bounded sparse-row cache so a third of the seeds exercise the
-// eviction path, exactly like the dense/lazy suite.
-func boundedPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand, maxRows int) (dense, bounded *Instance) {
-	t.Helper()
-	g := dyadicConnectedGraph(t, n, 2*n, rng)
+	g := randomConnectedGraph(t, n, 2*n, rng)
 	sampler := shortestpath.NewTable(g, 0)
 	ps, err := pairs.SampleViolating(sampler, dt, m, rng)
 	if err != nil {
 		t.Skipf("could not sample %d violating pairs: %v", m, err)
 	}
 	thr := failprob.Threshold{P: 1 - math.Exp(-dt), D: dt}
-	dense, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, DistBackend: BackendDense})
+	dense, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, Table: sampler})
 	if err != nil {
 		t.Fatalf("NewInstance(dense): %v", err)
 	}
-	bounded, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, DistBackend: BackendBounded, LazyMaxRows: maxRows})
+	bounded, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, Table: boundedSource(t, g, reachFactor*dt)})
 	if err != nil {
 		t.Fatalf("NewInstance(bounded): %v", err)
 	}
 	return dense, bounded
 }
 
-// TestBackendDifferentialBoundedSolvers runs every solver on dense and
-// bounded instances across 24 seeds, serial and parallel, and requires
-// identical placements and identical backend-invariant counters. For the
-// bounded backend it additionally requires the CandidatesPruned total of
-// each solver run to be identical at every worker count (the counter is
-// accumulated serially while the near-candidate lists are built).
-func TestBackendDifferentialBoundedSolvers(t *testing.T) {
+// boundedSource builds a bounded table at the given reach.
+func boundedSource(t *testing.T, g *graph.Graph, reach float64) *shortestpath.BoundedTable {
+	t.Helper()
+	bt, err := shortestpath.NewBoundedTable(g, shortestpath.BoundedOptions{Reach: reach})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bt
+}
+
+// runCounted runs fn and returns the global-counter delta it caused, with
+// the backend-variant counters zeroed for cross-backend comparison.
+func runCounted(fn func()) telemetry.CounterSnapshot {
+	before := telemetry.Global().Snapshot()
+	fn()
+	return telemetry.Global().Snapshot().Sub(before).BackendInvariant()
+}
+
+// TestBackendDifferentialSolvers runs the differential on bounded tables
+// at reach d_t, the table NewInstance builds at and above
+// DefaultLazyThreshold nodes.
+func TestBackendDifferentialSolvers(t *testing.T) { differentialSolvers(t, 9100, 1) }
+
+// TestBackendDifferentialBoundedSolvers runs it on bounded tables whose
+// reach exceeds d_t, as when one table is shared across thresholds.
+func TestBackendDifferentialBoundedSolvers(t *testing.T) { differentialSolvers(t, 9700, 1.5) }
+
+// differentialSolvers runs every solver on dense and bounded instances
+// across 24 seeds, serial and parallel, and requires identical placements
+// and identical backend-invariant counters. For the bounded backend it
+// additionally requires the CandidatesPruned total of each solver run to
+// be identical at every worker count (the counter is accumulated serially
+// while the near-candidate lists are built).
+func differentialSolvers(t *testing.T, seedBase int64, reachFactor float64) {
 	const seeds = 24
 	for seed := int64(0); seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := xrand.New(9700 + seed)
+			rng := xrand.New(seedBase + seed)
 			n := 13 + int(seed%5)
-			maxRows := 0
-			if seed%3 == 0 {
-				maxRows = 3
-			}
-			dense, bounded := boundedPair(t, n, 6, 3, 0.8, rng, maxRows)
+			dense, bounded := boundedPair(t, n, 6, 3, 0.8, rng, reachFactor)
 
 			// prunedBy[solver][workers] collects the bounded backend's
 			// CandidatesPruned delta per worker count.
@@ -187,7 +179,7 @@ func TestBackendDifferentialBoundedSolvers(t *testing.T) {
 			}
 
 			t.Run("sigma_mu_nu", func(t *testing.T) {
-				r := xrand.New(9800 + seed)
+				r := xrand.New(seedBase + 100 + seed)
 				for rep := 0; rep < 10; rep++ {
 					sel := r.SampleDistinct(dense.NumCandidates(), 1+r.Intn(3))
 					if ds, bs := dense.Sigma(sel), bounded.Sigma(sel); ds != bs {
@@ -210,13 +202,19 @@ func TestBackendDifferentialBoundedSolvers(t *testing.T) {
 	}
 }
 
-// TestBackendDifferentialBoundedCommonNode runs the MSC-CN reduction on
-// dense and bounded backends over common-node instances.
-func TestBackendDifferentialBoundedCommonNode(t *testing.T) {
+// TestBackendDifferentialCommonNode runs the MSC-CN reduction on dense
+// and bounded (reach d_t) backends over common-node instances.
+func TestBackendDifferentialCommonNode(t *testing.T) { differentialCommonNode(t, 9300, 1) }
+
+// TestBackendDifferentialBoundedCommonNode repeats it with a bounded reach
+// beyond d_t.
+func TestBackendDifferentialBoundedCommonNode(t *testing.T) { differentialCommonNode(t, 9900, 1.5) }
+
+func differentialCommonNode(t *testing.T, seedBase int64, reachFactor float64) {
 	for seed := int64(0); seed < 8; seed++ {
-		rng := xrand.New(9900 + seed)
+		rng := xrand.New(seedBase + seed)
 		n := 14 + int(seed%4)
-		g := dyadicConnectedGraph(t, n, 2*n, rng)
+		g := randomConnectedGraph(t, n, 2*n, rng)
 		sampler := shortestpath.NewTable(g, 0)
 		u := graph.NodeID(rng.Intn(n))
 		ps, err := pairs.SampleViolatingWithCommonNode(sampler, 0.8, 5, u, rng)
@@ -224,11 +222,11 @@ func TestBackendDifferentialBoundedCommonNode(t *testing.T) {
 			continue // this graph has too few violating pairs through u
 		}
 		thr := failprob.Threshold{P: 1 - math.Exp(-0.8), D: 0.8}
-		dense, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, DistBackend: BackendDense})
+		dense, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, Table: sampler})
 		if err != nil {
 			t.Fatalf("seed %d: NewInstance(dense): %v", seed, err)
 		}
-		bounded, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, DistBackend: BackendBounded})
+		bounded, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, Table: boundedSource(t, g, reachFactor*thr.D)})
 		if err != nil {
 			t.Fatalf("seed %d: NewInstance(bounded): %v", seed, err)
 		}
@@ -245,8 +243,8 @@ func TestBackendDifferentialBoundedCommonNode(t *testing.T) {
 	}
 }
 
-// TestBoundedQuickProperty is the testing/quick property of the tentpole:
-// for random dyadic graphs and random thresholds, an instance on the
+// TestBoundedQuickProperty is the testing/quick property of the shared
+// metric: for random graphs and random thresholds, an instance on the
 // bounded backend reports the same σ values and the same per-candidate
 // gains arrays as one on the dense table.
 func TestBoundedQuickProperty(t *testing.T) {
@@ -255,18 +253,18 @@ func TestBoundedQuickProperty(t *testing.T) {
 		n := 8 + int(nRaw%10)
 		m := 3 + int(mRaw%4)
 		dt := 0.3 + float64(dtRaw%1024)/1024 // [0.3, 1.3): spans ball sizes from tiny to most-of-graph
-		g := dyadicConnectedGraph(t, n, 2*n, rng)
+		g := randomConnectedGraph(t, n, 2*n, rng)
 		sampler := shortestpath.NewTable(g, 0)
 		ps, err := pairs.SampleViolating(sampler, dt, m, rng)
 		if err != nil {
 			return true // too few violating pairs at this threshold — vacuous
 		}
 		thr := failprob.Threshold{P: 1 - math.Exp(-dt), D: dt}
-		dense, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, DistBackend: BackendDense})
+		dense, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, Table: sampler})
 		if err != nil {
 			t.Fatalf("NewInstance(dense): %v", err)
 		}
-		bounded, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, DistBackend: BackendBounded})
+		bounded, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, Table: boundedSource(t, g, dt)})
 		if err != nil {
 			t.Fatalf("NewInstance(bounded): %v", err)
 		}
@@ -311,7 +309,7 @@ func TestSparseBestAddMatchesDense(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := xrand.New(8800 + seed)
 		sparseGainsThreshold = 1 << 26 // dense argmax path first
-		dense, bounded := boundedPair(t, 14+int(seed%4), 6, 3, 0.8, rng, 0)
+		dense, bounded := boundedPair(t, 14+int(seed%4), 6, 3, 0.8, rng, 1)
 		densePl := GreedySigma(dense, Parallelism(1))
 		refPl := GreedySigma(bounded, Parallelism(1))
 
@@ -327,31 +325,23 @@ func TestSparseBestAddMatchesDense(t *testing.T) {
 				t.Errorf("seed %d: sparse BestAdd did not account its scan work: %+v", seed, delta)
 			}
 		}
-		// The sparse path must also hold on the lazy backend (it is how
-		// the full-universe lazy baseline stays runnable at n=10⁵).
-		g := dense.Graph()
-		lazy, err := NewInstance(g, dense.Pairs(), dense.Threshold(), dense.K(),
-			&Options{AllowTrivial: true, DistBackend: BackendLazy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl := GreedySigma(lazy, Parallelism(1))
-		comparePlacements(t, "GreedySigma lazy sparse", densePl, pl)
 	}
 }
 
-// TestBoundedRejectsNaNThreshold pins the satellite contract: a NaN d_t
-// under the bounded backend is a typed input error at instance
-// construction, not a silent full-graph exploration.
+// TestBoundedRejectsNaNThreshold: a NaN or negative d_t is a typed input
+// error at instance construction on every backend — as a bounded reach a
+// NaN would otherwise silently degenerate into full-graph exploration.
 func TestBoundedRejectsNaNThreshold(t *testing.T) {
 	rng := xrand.New(41)
-	g := dyadicConnectedGraph(t, 12, 24, rng)
+	g := randomConnectedGraph(t, 12, 24, rng)
 	ps := pairs.MustNewSet(12, []pairs.Pair{{U: 0, W: 11}, {U: 1, W: 10}, {U: 2, W: 9}})
-	thr := failprob.Threshold{P: 0.5, D: math.NaN()}
-	_, err := NewInstance(g, ps, thr, 1, &Options{AllowTrivial: true, DistBackend: BackendBounded})
-	var ie *InputError
-	if !errors.As(err, &ie) {
-		t.Fatalf("NaN threshold: got %v, want *InputError", err)
+	for _, dt := range []float64{math.NaN(), -1} {
+		thr := failprob.Threshold{P: 0.5, D: dt}
+		_, err := NewInstance(g, ps, thr, 1, &Options{AllowTrivial: true})
+		var ie *InputError
+		if !errors.As(err, &ie) {
+			t.Fatalf("threshold d_t = %v: got %v, want *InputError", dt, err)
+		}
 	}
 }
 
@@ -359,22 +349,22 @@ func TestBoundedRejectsNaNThreshold(t *testing.T) {
 // distances, which the bounded metric deliberately truncates.
 func TestBoundedRejectsLengthCostModel(t *testing.T) {
 	rng := xrand.New(42)
-	g := dyadicConnectedGraph(t, 12, 24, rng)
+	g := randomConnectedGraph(t, 12, 24, rng)
 	ps := pairs.MustNewSet(12, []pairs.Pair{{U: 0, W: 11}, {U: 1, W: 10}, {U: 2, W: 9}})
 	thr := failprob.Threshold{P: 1 - math.Exp(-0.8), D: 0.8}
 	_, err := NewInstance(g, ps, thr, 1, &Options{
-		AllowTrivial: true, DistBackend: BackendBounded,
+		AllowTrivial: true, Table: boundedSource(t, g, thr.D),
 		Budget: 2, CostModel: CostLength,
 	})
 	var ie *InputError
 	if !errors.As(err, &ie) {
 		t.Fatalf("length cost on bounded backend: got %v, want *InputError", err)
 	}
-	// The same configuration on the lazy backend stays valid.
+	// The same configuration on the dense backend stays valid.
 	if _, err := NewInstance(g, ps, thr, 1, &Options{
-		AllowTrivial: true, DistBackend: BackendLazy,
-		Budget: 2, CostModel: CostLength,
+		AllowTrivial: true,
+		Budget:       2, CostModel: CostLength,
 	}); err != nil {
-		t.Fatalf("length cost on lazy backend: %v", err)
+		t.Fatalf("length cost on dense backend: %v", err)
 	}
 }

@@ -116,13 +116,11 @@ func (inst *Instance) initBudget(opts *Options) error {
 			// Length prices are min(d(u,v), d_t): they need full-range
 			// distances, and a bounded backend deliberately reports +Inf
 			// beyond its reach — every candidate would price at d_t.
-			return &InputError{Param: "cost-model", Reason: `cost model "length" needs full-range distances; use the dense or lazy distance backend`}
+			return &InputError{Param: "cost-model", Reason: `cost model "length" needs full-range distances; supply a dense table`}
 		}
 		// The price table is materialized lazily on the first Cost call
-		// (it reads one distance per candidate pair, which on the lazy
-		// backend would force every row): instances that are only ever
-		// σ-evaluated — e.g. survivable node-failure scenario instances —
-		// never pay for it.
+		// (it reads one distance per candidate pair): instances that are
+		// only ever σ-evaluated never pay for it.
 	case CostTable:
 		if costs == nil {
 			return &InputError{Param: "costs", Reason: `cost model "table" requires per-candidate costs`}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"msc/internal/failprob"
 	"msc/internal/graph"
 	"msc/internal/pairs"
+	"msc/internal/shortestpath"
 	"msc/internal/xrand"
 )
 
@@ -80,13 +82,16 @@ func FuzzInstance(f *testing.F) {
 			}
 			t.Fatalf("NewInstance(n=%d, k=%d, pt=%v): %v", n, k, pt, err)
 		}
-		// The same shape on the lazy backend (with a tight row cap, so the
-		// eviction path fuzzes too) must agree with the dense instance on
-		// every placement below.
-		lazyInst, err := NewInstance(g, set, failprob.NewThreshold(pt), k,
-			&Options{AllowTrivial: true, DistBackend: BackendLazy, LazyMaxRows: 2})
+		// The same shape on the bounded backend must agree with the dense
+		// instance on every placement below.
+		thr := failprob.NewThreshold(pt)
+		bt, err := shortestpath.NewBoundedTable(g, shortestpath.BoundedOptions{Reach: thr.D})
 		if err != nil {
-			t.Fatalf("NewInstance(lazy, n=%d, k=%d, pt=%v): %v", n, k, pt, err)
+			t.Fatalf("NewBoundedTable(reach %v): %v", thr.D, err)
+		}
+		boundedInst, err := NewInstance(g, set, thr, k, &Options{AllowTrivial: true, Table: bt})
+		if err != nil {
+			t.Fatalf("NewInstance(bounded, n=%d, k=%d, pt=%v): %v", n, k, pt, err)
 		}
 		m := set.Len()
 
@@ -101,17 +106,10 @@ func FuzzInstance(f *testing.F) {
 		if par := GreedySigma(inst, Parallelism(4)); par.Sigma != greedy.Sigma {
 			t.Fatalf("greedy parallel σ %d != serial %d", par.Sigma, greedy.Sigma)
 		}
-		lazyGreedy := GreedySigma(lazyInst, Parallelism(4))
-		if lazyGreedy.Sigma != greedy.Sigma {
-			t.Fatalf("lazy-backend greedy σ %d != dense %d", lazyGreedy.Sigma, greedy.Sigma)
-		}
-		if len(lazyGreedy.Selection) != len(greedy.Selection) {
-			t.Fatalf("lazy-backend greedy selection %v != dense %v", lazyGreedy.Selection, greedy.Selection)
-		}
-		for i := range greedy.Selection {
-			if lazyGreedy.Selection[i] != greedy.Selection[i] {
-				t.Fatalf("lazy-backend greedy selection %v != dense %v", lazyGreedy.Selection, greedy.Selection)
-			}
+		boundedGreedy := GreedySigma(boundedInst, Parallelism(4))
+		if boundedGreedy.Sigma != greedy.Sigma || !slices.Equal(boundedGreedy.Selection, greedy.Selection) {
+			t.Fatalf("bounded-backend greedy (σ %d, %v) != dense (σ %d, %v)",
+				boundedGreedy.Sigma, boundedGreedy.Selection, greedy.Sigma, greedy.Selection)
 		}
 
 		sw := Sandwich(inst)

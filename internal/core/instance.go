@@ -199,25 +199,15 @@ type Options struct {
 	// as trivial (§III-C). Tests and examples may enable it.
 	AllowTrivial bool
 	// Table supplies a precomputed distance source (e.g. a dense table
-	// shared across thresholds, or a LazyTable shared across budgets);
-	// when nil NewInstance builds one per DistBackend.
+	// shared across thresholds, or a BoundedTable shared across budgets);
+	// when nil NewInstance builds a dense table below DefaultLazyThreshold
+	// nodes (or under the "length" cost model) and a BoundedTable at reach
+	// d_t otherwise. A supplied SparseSource must reach at least d_t.
 	Table shortestpath.DistanceSource
-	// DistBackend selects the distance backend built when Table is nil:
-	// dense all-pairs table, lazy Dijkstra row cache, bounded-reach sparse
-	// rows, or (the zero value) automatic selection — dense below
-	// DefaultLazyThreshold nodes, lazy below DefaultBoundedThreshold, and
-	// bounded at or above it. Placements, σ/μ/ν values, and all solver
-	// work counters except the Dijkstra and row-cache ones are identical
-	// across backends.
-	DistBackend DistBackend
 	// Parallelism bounds the workers used to build the dense table; <= 0
 	// resolves like the solvers' Parallelism option (GOMAXPROCS). The
 	// table is identical for every worker count.
 	Parallelism int
-	// LazyMaxRows caps the lazy backend's cached non-pinned rows; 0 means
-	// unbounded. Social-pair endpoint rows are always pinned and exempt.
-	// The bounded backend applies the same cap to its sparse rows.
-	LazyMaxRows int
 	// EvalMode selects how searches built from the instance maintain their
 	// state across Add commits: incremental O(n) row merges with delta
 	// gains rescans (the default), or the full-rebuild reference path.
@@ -276,7 +266,10 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 	if ps.Len() <= k && (opts == nil || !opts.AllowTrivial) {
 		return nil, fmt.Errorf("%w: m=%d, k=%d", ErrTrivial, ps.Len(), k)
 	}
-	table, err := newDistanceSource(g, ps, thr, opts)
+	if !(thr.D >= 0) {
+		return nil, &InputError{Param: "threshold", Reason: fmt.Sprintf("d_t = %v must be a non-negative number", thr.D)}
+	}
+	table, err := newDistanceSource(g, thr, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +367,7 @@ func MustNewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k in
 func (inst *Instance) Graph() *graph.Graph { return inst.g }
 
 // Table returns the instance's distance source: a dense all-pairs table
-// or a lazy row cache, per Options.DistBackend.
+// or a bounded sparse table (see Options.Table).
 func (inst *Instance) Table() shortestpath.DistanceSource { return inst.table }
 
 // Pairs returns the important social pairs.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -28,11 +29,26 @@ type PairStatus struct {
 
 // Report evaluates a placement pair by pair. Results are ordered as in the
 // instance's pair set.
+//
+// The probabilities need full-range distances: a sparse table reads +Inf
+// beyond d_t, which would report p = 1 for every pair the placement
+// leaves unmaintained. On such an instance Report reads a bounded table
+// of unlimited reach instead, paying one full Dijkstra per pair endpoint
+// and shortcut endpoint; its values within d_t are the instance's own, so
+// Maintained agrees with σ.
 func (inst *Instance) Report(sel []int) []PairStatus {
-	ov := shortestpath.NewOverlay(inst.table, SelectionEdges(inst, sel))
+	table := inst.table
+	if _, ok := table.(shortestpath.SparseSource); ok {
+		full, err := shortestpath.NewBoundedTable(inst.g, shortestpath.BoundedOptions{Reach: math.Inf(1)})
+		if err != nil {
+			panic(err) // unreachable: +Inf is a valid reach
+		}
+		table = full
+	}
+	ov := shortestpath.NewOverlay(table, SelectionEdges(inst, sel))
 	out := make([]PairStatus, inst.ps.Len())
 	for i, p := range inst.ps.Pairs() {
-		before := inst.table.Dist(p.U, p.W)
+		before := table.Dist(p.U, p.W)
 		after := ov.Dist(p.U, p.W)
 		st := PairStatus{
 			Pair:             p,

@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"msc/internal/failprob"
 	"msc/internal/graph"
 	"msc/internal/pairs"
+	"msc/internal/shortestpath"
 	"msc/internal/xrand"
 )
 
@@ -256,6 +258,38 @@ func TestSummarizeImprovedButShort(t *testing.T) {
 	}
 	if math.Abs(s.WorstAfter-st.After) > 1e-12 {
 		t.Fatalf("WorstAfter %v != worst pair After %v", s.WorstAfter, st.After)
+	}
+}
+
+// TestReportMatchesAcrossBackends: a pair whose after-distance is finite
+// but beyond d_t reports the same PairStatus on a dense and on a bounded
+// instance. The bounded table reads +Inf there, so Report must not take
+// its probabilities from it.
+func TestReportMatchesAcrossBackends(t *testing.T) {
+	// Path 0–1–2–3–4 with hops of 2: pair (0,4) sits at distance 8, pair
+	// (1,2) at 2. Shortcut 0–3 cuts (0,4) to 2, still over d_t = 1.
+	dense := explicitInstance(t, 5,
+		[][3]float64{{0, 1, 2}, {1, 2, 2}, {2, 3, 2}, {3, 4, 2}},
+		[]pairs.Pair{pairs.New(0, 4), pairs.New(1, 2)},
+		1.0, 1)
+	bt, err := shortestpath.NewBoundedTable(dense.Graph(), shortestpath.BoundedOptions{Reach: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounded, err := NewInstance(dense.Graph(), dense.Pairs(), dense.Threshold(), 1, &Options{AllowTrivial: true, Table: bt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := []int{dense.CandidateIndex(graph.Edge{U: 0, V: 3})}
+	want, got := dense.Report(sel), bounded.Report(sel)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("bounded report %+v, dense report %+v", got, want)
+	}
+	if st := want[0]; st.Maintained || !st.UsesShortcut || st.After != failprob.ProbFromLength(2) {
+		t.Fatalf("pair (0,4) should be improved to p(2) but not maintained: %+v", st)
+	}
+	if bt.Stats().DenseRows != 0 {
+		t.Error("Report materialized dense rows of the instance's bounded table")
 	}
 }
 

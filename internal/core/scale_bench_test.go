@@ -15,7 +15,7 @@ import (
 	"msc/internal/xrand"
 )
 
-// scaleBenchN returns the RGG size for the backend-comparison benchmarks:
+// scaleBenchN returns the RGG size for the scale benchmarks:
 // 20 000 by default (seconds per iteration, safe for the CI 1-iteration
 // smoke), overridable with MSC_SCALE_BENCH_N=100000 for the EXPERIMENTS.md
 // n=10⁵ measurements.
@@ -31,11 +31,10 @@ func scaleBenchN(b *testing.B) int {
 	return 20_000
 }
 
-// BenchmarkScaleGreedySigma is the speed claim behind the bounded backend:
-// GreedySigma end to end — instance build (rows) plus the full
-// greedy solve — on the same RGG and pair set, lazy vs bounded. The
-// per-iteration custom metrics record what the backends trade: bytes/row
-// resident and rows computed. Run with -benchtime=1x and
+// BenchmarkScaleGreedySigma times GreedySigma end to end on the bounded
+// backend — instance build (rows) plus the full greedy solve. The
+// per-iteration custom metrics record bytes/row resident and rows
+// computed. Run with -benchtime=1x and
 // MSC_SCALE_BENCH_N=100000 to reproduce the EXPERIMENTS.md numbers.
 func BenchmarkScaleGreedySigma(b *testing.B) {
 	n := scaleBenchN(b)
@@ -51,9 +50,8 @@ func BenchmarkScaleGreedySigma(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// One shared pair sample: backend comparisons must solve the same
-	// instance. Uniform random pairs violate the tools' default d_t with
-	// near certainty at these scales.
+	// Uniform random pairs violate the tools' default d_t with near
+	// certainty at these scales.
 	seen := map[pairs.Pair]bool{}
 	var ps []pairs.Pair
 	for len(ps) < m {
@@ -66,43 +64,31 @@ func BenchmarkScaleGreedySigma(b *testing.B) {
 	}
 	set := pairs.MustNewSet(n, ps)
 
-	for _, backend := range []struct {
-		name string
-		be   DistBackend
-	}{{"lazy", BackendLazy}, {"bounded", BackendBounded}} {
-		b.Run(fmt.Sprintf("backend=%s/n=%d", backend.name, n), func(b *testing.B) {
-			var bytesPerRow, rows float64
-			for i := 0; i < b.N; i++ {
-				inst, err := NewInstance(g, set, thr, k, &Options{AllowTrivial: true, DistBackend: backend.be})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pl := GreedySigma(inst)
-				if len(pl.Selection) != k {
-					b.Fatalf("placed %d shortcuts, want %d", len(pl.Selection), k)
-				}
-				switch t := inst.Table().(type) {
-				case *shortestpath.BoundedTable:
-					st := t.Stats()
-					rows = float64(st.Computes)
-					if st.Computes > 0 {
-						bytesPerRow = float64(st.RowBytes) / float64(st.Computes)
-					}
-				case *shortestpath.LazyTable:
-					st := t.Stats()
-					rows = float64(st.Computes)
-					bytesPerRow = float64(8 * n) // dense float64 rows
-				}
+	b.Run(fmt.Sprintf("backend=bounded/n=%d", n), func(b *testing.B) {
+		var bytesPerRow, rows float64
+		for i := 0; i < b.N; i++ {
+			inst, err := NewInstance(g, set, thr, k, &Options{AllowTrivial: true})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(bytesPerRow, "bytes/row")
-			b.ReportMetric(rows, "rows/op")
-		})
-	}
+			pl := GreedySigma(inst)
+			if len(pl.Selection) != k {
+				b.Fatalf("placed %d shortcuts, want %d", len(pl.Selection), k)
+			}
+			st := inst.Table().(*shortestpath.BoundedTable).Stats()
+			rows = float64(st.Computes)
+			if st.Computes > 0 {
+				bytesPerRow = float64(st.RowBytes) / float64(st.Computes)
+			}
+		}
+		b.ReportMetric(bytesPerRow, "bytes/row")
+		b.ReportMetric(rows, "rows/op")
+	})
 }
 
-// BenchmarkScaleRowCompute isolates the row kernel the end-to-end ratio
+// BenchmarkScaleRowCompute isolates the row kernel the bounded backend
 // rests on: one cold distance row per iteration, full-graph Dijkstra
-// (lazy) vs reach-bounded Dijkstra with sparse storage (bounded), cycling
+// (full) vs reach-bounded Dijkstra with sparse storage (bounded), cycling
 // over distinct sources so caches never serve a warm row.
 func BenchmarkScaleRowCompute(b *testing.B) {
 	n := scaleBenchN(b)
@@ -113,11 +99,9 @@ func BenchmarkScaleRowCompute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run(fmt.Sprintf("backend=lazy/n=%d", n), func(b *testing.B) {
-		t := shortestpath.NewLazyTable(g, shortestpath.LazyOptions{})
-		b.ResetTimer()
+	b.Run(fmt.Sprintf("backend=full/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = t.Row(graph.NodeID(i % n))
+			_ = shortestpath.Dijkstra(g, graph.NodeID(i%n))
 		}
 		b.ReportMetric(float64(8*n), "bytes/row")
 	})

@@ -53,7 +53,7 @@ func TestScaleSmokeBounded(t *testing.T) {
 	thr := failprob.Threshold{P: 1 - math.Exp(-dt), D: dt}
 
 	start := time.Now()
-	inst, err := NewInstance(g, set, thr, k, &Options{AllowTrivial: true, DistBackend: BackendBounded})
+	inst, err := NewInstance(g, set, thr, k, &Options{AllowTrivial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestDiagBoundsIntractableSentinel(t *testing.T) {
 	}
 	set := pairs.MustNewSet(n, ps)
 	thr := failprob.NewThreshold(0.11)
-	inst, err := NewInstance(g, set, thr, k, &Options{AllowTrivial: true, DistBackend: BackendBounded})
+	inst, err := NewInstance(g, set, thr, k, &Options{AllowTrivial: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"msc/internal/graph"
+	"msc/internal/shortestpath"
 	"msc/internal/telemetry"
 )
 
@@ -184,9 +185,9 @@ func (inst *Instance) survivableValue(sel []int) int {
 // instances: nodeInsts[v] is the instance on G−v (same node universe, every
 // edge incident to v removed, identical candidate indexing and pair
 // weights), and nodeVac[v] the constant vacuous weight of pairs incident
-// to v. The scenario instances use the lazy distance backend — only the
-// pair-endpoint rows are ever read — and are shared by every search built
-// from this instance.
+// to v. Each scenario instance reads a bounded table over its own graph —
+// only the d_t-balls of the pair endpoints and shortcut endpoints are
+// ever read — and is shared by every search built from this instance.
 func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 	inst.nodeOnce.Do(func() {
 		n := inst.g.N()
@@ -200,9 +201,8 @@ func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 		for i := range weights {
 			weights[i] = int(inst.weights[i])
 		}
-		opts := &Options{
+		opts := Options{
 			AllowTrivial:         true,
-			DistBackend:          BackendLazy,
 			EvalMode:             inst.evalMode,
 			Survive:              SurviveNone, // scenario instances must never recurse
 			ExcludePairEndpoints: inst.candPos != nil,
@@ -216,7 +216,13 @@ func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 					b.AddEdge(e.U, e.V, e.Length)
 				}
 			}
-			inst.nodeInsts[v] = MustNewInstance(b.MustBuild(), inst.ps, inst.thr, inst.k, opts)
+			gv := b.MustBuild()
+			table, err := shortestpath.NewBoundedTable(gv, shortestpath.BoundedOptions{Reach: inst.thr.D})
+			if err != nil {
+				panic(err) // unreachable: NewInstance rejected NaN and negative d_t
+			}
+			opts.Table = table
+			inst.nodeInsts[v] = MustNewInstance(gv, inst.ps, inst.thr, inst.k, &opts)
 		}
 	})
 	return inst.nodeInsts, inst.nodeVac

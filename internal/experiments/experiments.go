@@ -99,21 +99,22 @@ func (c Config) ratioTable(id, title string, ds dataset, ks []int, pts []float64
 					sigmaWorst = inst.SigmaWorst(fSigma.Selection)
 				}
 				c.Sink.Emit(telemetry.RunRecord{
-					Name:       fmt.Sprintf("%s k=%d pt=%.2f", id, k, pt),
-					Algorithm:  "greedy_sigma",
-					Seed:       c.Seed,
-					Survive:    string(inst.Survive()),
-					Quick:      c.Quick,
-					N:          inst.N(),
-					Pairs:      ps.Len(),
-					Candidates: inst.NumCandidates(),
-					K:          k,
-					Pt:         pt,
-					Sigma:      fSigma.Sigma,
-					MaxSigma:   inst.MaxSigma(),
-					SigmaWorst: sigmaWorst,
-					WallMS:     float64(time.Since(start).Nanoseconds()) / 1e6,
-					Counters:   telemetry.Global().Snapshot().Sub(before),
+					Name:        fmt.Sprintf("%s k=%d pt=%.2f", id, k, pt),
+					Algorithm:   "greedy_sigma",
+					Seed:        c.Seed,
+					DistBackend: inst.Backend(),
+					Survive:     string(inst.Survive()),
+					Quick:       c.Quick,
+					N:           inst.N(),
+					Pairs:       ps.Len(),
+					Candidates:  inst.NumCandidates(),
+					K:           k,
+					Pt:          pt,
+					Sigma:       fSigma.Sigma,
+					MaxSigma:    inst.MaxSigma(),
+					SigmaWorst:  sigmaWorst,
+					WallMS:      float64(time.Since(start).Nanoseconds()) / 1e6,
+					Counters:    telemetry.Global().Snapshot().Sub(before),
 				})
 			}
 			row.Cells = append(row.Cells, ratio)

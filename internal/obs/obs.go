@@ -60,7 +60,7 @@ var (
 		ExpBuckets(1e-5, 4, 12)) // 10µs … ~42s
 
 	// RowCompute is the cost of one on-demand Dijkstra row computation
-	// (lazy-table cache fills and overlay row queries), in seconds.
+	// (row-cache fills), in seconds.
 	RowCompute = NewHistogram(Default(), "msc_row_compute_seconds",
 		"Wall-clock time of one on-demand Dijkstra distance-row computation.",
 		ExpBuckets(1e-6, 4, 12)) // 1µs … ~4s
@@ -138,7 +138,7 @@ func ObserveScanShards(minNS, maxNS int64, shards int) {
 // init bridges the existing telemetry layer and the Go runtime into the
 // registry: every telemetry.CounterSnapshot field becomes an exported
 // counter (msc_<json_name>_total, read at scrape time, so the two schemas
-// can never drift), the lazy-table hit ratio becomes a gauge, and two
+// can never drift), the row-cache hit ratio becomes a gauge, and two
 // runtime gauges round out the ops picture.
 func init() {
 	// Counter names come from the CounterSnapshot JSON schema itself via an
@@ -163,7 +163,7 @@ func init() {
 	}
 
 	NewGaugeFunc(Default(), "msc_row_cache_hit_ratio",
-		"Lazy distance-table row cache hit ratio hits/(hits+misses); 0 before any request.",
+		"Distance-row cache hit ratio hits/(hits+misses); 0 before any request.",
 		func() float64 {
 			s := telemetry.Global().Snapshot()
 			total := s.RowCacheHits + s.RowCacheMisses

@@ -77,7 +77,7 @@ func TestEvaluatorCountWithinMatchesSerial(t *testing.T) {
 		src  DistanceSource
 	}{
 		{"dense", NewTable(g, 0)},
-		{"lazy", NewLazyTable(g, LazyOptions{MaxRows: 8})},
+		{"bounded", boundedOrFatal(t, g, 2.5)},
 	} {
 		t.Run(backend.name, func(t *testing.T) {
 			ov := NewOverlay(backend.src, []graph.Edge{{U: 0, V: 20}, {U: 5, V: 35}})
@@ -115,12 +115,12 @@ func TestEvaluatorCountWithinLengthMismatch(t *testing.T) {
 
 // TestEvaluatorDistRowsMatchesSerial checks DistRows against the naive
 // augmented-Dijkstra reference (serially) and against itself for every
-// worker count, over a lazy backend.
+// worker count, over a bounded backend of unlimited reach.
 func TestEvaluatorDistRowsMatchesSerial(t *testing.T) {
 	rng := xrand.New(67)
 	g := randomGraph(t, 35, 60, rng)
 	shortcuts := []graph.Edge{{U: 2, V: 30}, {U: 10, V: 25}}
-	ov := NewOverlay(NewLazyTable(g, LazyOptions{}), shortcuts)
+	ov := NewOverlay(boundedOrFatal(t, g, math.Inf(1)), shortcuts)
 	var srcs []graph.NodeID
 	for u := 0; u < g.N(); u += 2 {
 		srcs = append(srcs, graph.NodeID(u))
@@ -179,4 +179,14 @@ func TestOverlayEndpointsDistinct(t *testing.T) {
 	if !seen[0] || !seen[3] || !seen[5] {
 		t.Fatalf("Endpoints() = %v, want {0,3,5}", eps)
 	}
+}
+
+// boundedOrFatal builds a bounded table at the given reach.
+func boundedOrFatal(t *testing.T, g *graph.Graph, reach float64) *BoundedTable {
+	t.Helper()
+	bt, err := NewBoundedTable(g, BoundedOptions{Reach: reach})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bt
 }

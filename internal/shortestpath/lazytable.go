@@ -40,8 +40,13 @@ type LazyStats struct {
 	Cached int
 }
 
-// LazyTable is a DistanceSource that computes Dijkstra rows on demand and
-// memoizes them in a sharded, concurrency-safe cache. It is safe for
+// LazyTable is a DistanceSource that computes full Dijkstra rows on demand
+// and memoizes them in a sharded, concurrency-safe cache.
+//
+// No solver path builds one any more: core picks the dense Table below
+// DefaultLazyThreshold nodes and a BoundedTable at and above it. LazyTable
+// stays only because the perfbench harness replays mscgen's former lazy
+// sampler arm against it, and goes when that replay does. It is safe for
 // concurrent use; every row is computed exactly once per cache residency
 // (a sync.Once per entry), so concurrent readers of the same row never
 // duplicate work and never observe a torn row.
@@ -80,17 +85,12 @@ type lazyRow struct {
 	dist []float64
 }
 
-// defaultLazyShards is the shard count when LazyOptions.Shards is 0:
-// enough to keep GOMAXPROCS-wide scans from serializing on one lock,
-// small enough that per-shard caps stay meaningful.
-const defaultLazyShards = 16
-
 // NewLazyTable wraps g in an on-demand distance source. The graph must be
 // immutable for the table's lifetime (the same contract NewTable has).
 func NewLazyTable(g *graph.Graph, opts LazyOptions) *LazyTable {
 	shards := opts.Shards
 	if shards <= 0 {
-		shards = defaultLazyShards
+		shards = rowCacheShards
 	}
 	if opts.MaxRows > 0 && shards > opts.MaxRows {
 		// Never hand a shard a zero cap: with fewer shards than MaxRows

@@ -10,8 +10,8 @@ import (
 // Overlay answers shortest-path queries in the augmented graph G ∪ F, where
 // F is a set of zero-length shortcut edges, using only the distance rows
 // of G exposed by a DistanceSource. It reads exactly the rows of the query
-// endpoints and of the shortcut endpoints — with a LazyTable backend that
-// sparse access pattern is what keeps σ evaluation independent of n.
+// endpoints and of the shortcut endpoints — with a BoundedTable backend
+// that sparse access pattern is what keeps σ evaluation independent of n.
 //
 // Correctness argument: a shortest u→w path in G ∪ F decomposes into maximal
 // segments that stay inside G, separated by shortcut traversals. Each G
@@ -100,8 +100,8 @@ func (o *Overlay) Dist(u, w graph.NodeID) float64 {
 	if ss, ok := o.table.(SparseSource); ok {
 		return o.distSparse(ss, u, w)
 	}
-	// One Row call per endpoint: against a lazy backend every extra call
-	// is a cache lookup, so the base distance comes from u's row directly.
+	// One Row call per endpoint: the base distance comes from u's row
+	// directly.
 	du := o.table.Row(u)
 	best := du[w]
 	t := len(o.endpoints)

@@ -3,38 +3,32 @@ package shortestpath
 import "msc/internal/graph"
 
 // DistanceSource abstracts read access to the all-pairs shortest-path
-// metric of a fixed graph. Three implementations exist:
+// metric of a fixed graph. Two implementations back solver instances:
 //
 //   - Table materializes every row eagerly (n Dijkstras, n² float64s) and
-//     answers queries by plain indexing. Best when most rows will be
-//     touched (bound construction, common-node coverage, experiments that
-//     sweep thresholds over one network).
+//     answers queries by plain indexing. Best on small networks and when
+//     most rows will be touched (bound construction, common-node
+//     coverage, experiments that sweep thresholds over one network).
 //
-//   - LazyTable computes rows on demand and memoizes them in a sharded,
-//     concurrency-safe cache. Best when only a sparse set of rows is ever
-//     read — the overlay oracle touches only the rows of the ≤2m social-
-//     pair endpoints plus the ≤2k shortcut endpoints of the selections it
-//     evaluates, so instance-construction cost scales with the rows the
-//     solver actually uses instead of with n.
+//   - BoundedTable computes rows on demand with a Dijkstra bounded at a
+//     reach and stores them sparsely (sorted (node, float64) pairs);
+//     everything outside the reach-ball reads as +Inf. Per-row memory and
+//     compute scale with the reach-ball instead of with n.
 //
-//   - BoundedTable computes rows with a Dijkstra bounded at a reach and
-//     stores them sparsely (sorted (node, float32) pairs); everything
-//     outside the reach-ball reads as +Inf. Best at 10⁵–10⁶ nodes, where
-//     even one dense row is significant and full-graph Dijkstras dominate
-//     the run. Its metric differs from the others in two declared ways:
-//     distances beyond the reach are reported as +Inf, and in-ball
-//     distances carry float32 quantization (≈1e-7 relative). Consumers
-//     that only compare distances against a threshold ≤ reach — the
-//     entire MSC objective — cannot observe the truncation; the
-//     quantization is accepted as the metric itself.
+// Both compute the same float64 metric: a bounded Dijkstra settles every
+// in-ball node through the same relaxations as a full one, so a
+// BoundedTable distance within its reach is bit-identical to the Table
+// distance. The only declared difference is that distances beyond the
+// reach read +Inf. Consumers that only compare distances against a
+// threshold ≤ reach — the entire MSC objective — cannot observe it.
+// (LazyTable, a third implementation with full rows on demand, is kept
+// only for the perfbench harness.)
 //
 // Implementations must be safe for concurrent readers, and every method
 // must be deterministic: for the same graph, Dist and Row return
 // bit-identical values no matter the call order or the number of
-// goroutines calling, and dense/lazy return bit-identical values to each
-// other (BoundedTable is deterministic too, but its values follow the
-// truncated, quantized metric above). The solver's determinism contract
-// (serial == parallel placements, PR 1) rests on that guarantee.
+// goroutines calling. The solver's determinism contract (serial ==
+// parallel placements) rests on that guarantee.
 type DistanceSource interface {
 	// N returns the number of nodes the source covers.
 	N() int
@@ -50,10 +44,10 @@ type DistanceSource interface {
 
 // SparseSource is the optional extension a DistanceSource implements when
 // its rows are naturally sparse. Reach declares the truncation radius:
-// SparseRow entries within Reach are exact (up to float32 quantization),
-// everything absent is certified > Reach or unreachable. Consumers use it
-// to iterate only the ball instead of scanning n entries per row, and to
-// decide whether threshold comparisons against d_t ≤ Reach are safe.
+// SparseRow entries are the exact distances within Reach, and everything
+// absent is certified > Reach or unreachable. Consumers use it to iterate
+// only the ball instead of scanning n entries per row; a threshold
+// comparison against d_t is exact only when d_t ≤ Reach.
 type SparseSource interface {
 	DistanceSource
 	// Reach returns the truncation radius rows were computed at.

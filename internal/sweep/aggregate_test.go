@@ -45,14 +45,14 @@ func goldenResults(t *testing.T) []Result {
 	t.Helper()
 	place := Scenario{
 		Kind: KindPlace, Family: "rgg", N: 40, M: 8, Pt: 0.12, K: 2,
-		Solver: "greedy", DistBackend: "auto", EvalMode: "auto", Par: 1, Quick: true,
+		Solver: "greedy", EvalMode: "auto", Par: 1, Quick: true,
 	}
 	isGreedy := func(r telemetry.RunRecord) bool { return r.Name == "greedy" }
 	isExp := func(r telemetry.RunRecord) bool { return r.Algorithm == "experiment" && r.Name == "table1" }
 	s1, s2 := place, place
 	s1.Seed = 1
 	s2.Seed = 2
-	bench := Scenario{Kind: KindBench, Experiment: "table1", DistBackend: "auto", EvalMode: "auto", Par: 1, Quick: true, Seed: 1}
+	bench := Scenario{Kind: KindBench, Experiment: "table1", EvalMode: "auto", Par: 1, Quick: true, Seed: 1}
 	return []Result{
 		fixtureResult(t, "place_greedy_k2_seed1.jsonl", s1, isGreedy),
 		fixtureResult(t, "place_greedy_k2_seed2.jsonl", s2, isGreedy),
@@ -109,7 +109,7 @@ func TestAggregateStatistics(t *testing.T) {
 	if len(traj.Scenarios) != 2 {
 		t.Fatalf("%d scenarios, want 2", len(traj.Scenarios))
 	}
-	place := traj.Scenarios["place/rgg/n40/m8/pt0.12/k2/greedy/auto/auto/par1"]
+	place := traj.Scenarios["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1"]
 	if place.Runs != 2 || len(place.Seeds) != 2 || place.Seeds[0] != 1 || place.Seeds[1] != 2 {
 		t.Fatalf("place scenario stats wrong: %+v", place)
 	}
@@ -123,7 +123,7 @@ func TestAggregateStatistics(t *testing.T) {
 	if _, ok := place.Metrics["counters.dijkstra_runs"]; !ok {
 		t.Fatalf("counter metrics missing: %v", place.Metrics)
 	}
-	bench := traj.Scenarios["bench/table1/quick/auto/auto/par1"]
+	bench := traj.Scenarios["bench/table1/quick/auto/par1"]
 	if bench.Runs != 1 || bench.Metrics["sigma"].Median != -1 {
 		t.Fatalf("bench scenario stats wrong: %+v", bench)
 	}

@@ -152,7 +152,6 @@ func (p *ProcessRunner) runPlace(ctx context.Context, sc Scenario) (telemetry.Ru
 		"-alg", sc.Solver,
 		"-seed", strconv.FormatInt(sc.Seed, 10),
 		"-par", strconv.Itoa(sc.Par),
-		"-dist-backend", sc.DistBackend,
 		"-eval", sc.EvalMode,
 		"-jsonl", jsonl,
 	}
@@ -192,7 +191,6 @@ func (p *ProcessRunner) runBench(ctx context.Context, sc Scenario) (telemetry.Ru
 		"-exp", sc.Experiment,
 		"-seed", strconv.FormatInt(sc.Seed, 10),
 		"-par", strconv.Itoa(sc.Par),
-		"-dist-backend", sc.DistBackend,
 		"-eval", sc.EvalMode,
 		"-jsonl", jsonl,
 	}

@@ -43,9 +43,8 @@ type Matrix struct {
 	// Solvers names the mscplace algorithms to run:
 	// sandwich|greedy|mu|nu|ea|aea|random|cn.
 	Solvers []string `json:"solvers"`
-	// DistBackends and EvalModes mirror the -dist-backend and -eval flags.
-	DistBackends []string `json:"dist_backends"`
-	EvalModes    []string `json:"eval_modes"`
+	// EvalModes mirrors the -eval flag.
+	EvalModes []string `json:"eval_modes"`
 	// Survive mirrors the -survive flag on place scenarios:
 	// auto|none|shortcut|node. Empty means the fault-free default; the
 	// scenario key grows a segment only for survivable modes, so existing
@@ -62,7 +61,7 @@ type Matrix struct {
 	// is launched per (scenario, seed).
 	Seeds []int64 `json:"seeds"`
 	// Experiments optionally adds whole mscbench experiment runs (one
-	// scenario per id × backend × eval × par, repeated per seed). The ids
+	// scenario per id × eval × par, repeated per seed). The ids
 	// are validated by mscbench itself — an unknown id fails that child.
 	Experiments []string `json:"experiments"`
 	// Quick marks reduced-scale runs: forwarded to mscbench -quick and
@@ -71,31 +70,29 @@ type Matrix struct {
 	Quick bool `json:"quick"`
 }
 
-// QuickMatrix is the smoke sweep CI runs on every push: 2 cardinality
-// budgets × 2 solvers × 2 distance backends (auto and forced bounded) ×
-// 2 survivability modes × 2 knapsack budgets (off and B=2 unit-cost) ×
-// 3 seeds on a 40-node RGG, plus one whole-suite mscbench experiment —
-// a couple hundred child runs, seconds end to end. The survivable half
-// gates the worst-case σ⁻ objective, the budgeted half the knapsack
-// objective, and the bounded half the sparse-backend equivalence (same σ
-// as auto at every scenario key), all against the same baseline
+// QuickMatrix is the smoke sweep CI runs on every push: 2 network sizes
+// (a 40-node RGG on the dense backend, a 600-node one on the bounded
+// backend) × 2 cardinality budgets × 2 solvers × 2 survivability modes ×
+// 2 knapsack budgets (off and B=2 unit-cost) × 3 seeds, plus one
+// whole-suite mscbench experiment — a couple hundred child runs, seconds
+// end to end. The survivable half gates the worst-case σ⁻ objective and
+// the budgeted half the knapsack objective, all against the same baseline
 // discipline as the fault-free cardinality runs.
 func QuickMatrix() Matrix {
 	return Matrix{
-		Families:     []string{"rgg"},
-		N:            []int{40},
-		M:            []int{8},
-		Pt:           []float64{0.12},
-		K:            []int{2, 3},
-		Solvers:      []string{"greedy", "sandwich"},
-		DistBackends: []string{"auto", "bounded"},
-		EvalModes:    []string{"auto"},
-		Survive:      []string{"none", "shortcut"},
-		Budget:       []float64{0, 2},
-		Parallelism:  []int{1},
-		Seeds:        []int64{1, 2, 3},
-		Experiments:  []string{"table1"},
-		Quick:        true,
+		Families:    []string{"rgg"},
+		N:           []int{40, 600},
+		M:           []int{8},
+		Pt:          []float64{0.12},
+		K:           []int{2, 3},
+		Solvers:     []string{"greedy", "sandwich"},
+		EvalModes:   []string{"auto"},
+		Survive:     []string{"none", "shortcut"},
+		Budget:      []float64{0, 2},
+		Parallelism: []int{1},
+		Seeds:       []int64{1, 2, 3},
+		Experiments: []string{"table1"},
+		Quick:       true,
 	}
 }
 
@@ -112,7 +109,6 @@ func (e *MatrixError) Error() string {
 var (
 	validFamilies = map[string]bool{"rgg": true, "social": true}
 	validSolvers  = map[string]bool{"sandwich": true, "greedy": true, "mu": true, "nu": true, "ea": true, "aea": true, "random": true, "cn": true}
-	validBackends = map[string]bool{"auto": true, "dense": true, "lazy": true, "bounded": true}
 	validEvals    = map[string]bool{"auto": true, "incremental": true, "rebuild": true}
 	validSurvive  = map[string]bool{"auto": true, "none": true, "shortcut": true, "node": true}
 )
@@ -134,9 +130,6 @@ func (m Matrix) Validate() error {
 			return &MatrixError{Axis: "seeds", Reason: fmt.Sprintf("seed %d repeats: repeated seeds would double-count one run in the medians", s)}
 		}
 		seen[s] = true
-	}
-	if err := validateNames("dist_backends", m.DistBackends, validBackends); err != nil {
-		return err
 	}
 	if err := validateNames("eval_modes", m.EvalModes, validEvals); err != nil {
 		return err
@@ -239,19 +232,18 @@ type Scenario struct {
 	Experiment string `json:"experiment,omitempty"`
 
 	// Shared axes.
-	DistBackend string `json:"dist_backend"`
-	EvalMode    string `json:"eval_mode"`
-	Par         int    `json:"par"`
-	Quick       bool   `json:"quick"`
-	Seed        int64  `json:"seed"`
+	EvalMode string `json:"eval_mode"`
+	Par      int    `json:"par"`
+	Quick    bool   `json:"quick"`
+	Seed     int64  `json:"seed"`
 }
 
 // Key is the canonical scenario identity inside a trajectory: every axis
 // except the seed, in a fixed order, so two sweeps of the same matrix
 // produce byte-identical keys. Example:
 //
-//	place/rgg/n40/m8/pt0.12/k2/greedy/auto/auto/par1
-//	bench/table1/quick/auto/auto/par0
+//	place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1
+//	bench/table1/quick/auto/par0
 func (s Scenario) Key() string {
 	switch s.Kind {
 	case KindBench:
@@ -259,10 +251,10 @@ func (s Scenario) Key() string {
 		if s.Quick {
 			quick = "quick"
 		}
-		return fmt.Sprintf("bench/%s/%s/%s/%s/par%d", s.Experiment, quick, s.DistBackend, s.EvalMode, s.Par)
+		return fmt.Sprintf("bench/%s/%s/%s/par%d", s.Experiment, quick, s.EvalMode, s.Par)
 	default:
-		key := fmt.Sprintf("place/%s/n%d/m%d/pt%s/k%d/%s/%s/%s/par%d",
-			s.Family, s.N, s.M, formatPt(s.Pt), s.K, s.Solver, s.DistBackend, s.EvalMode, s.Par)
+		key := fmt.Sprintf("place/%s/n%d/m%d/pt%s/k%d/%s/%s/par%d",
+			s.Family, s.N, s.M, formatPt(s.Pt), s.K, s.Solver, s.EvalMode, s.Par)
 		// Survivable runs get their own segment; fault-free runs keep the
 		// historical key so existing baselines diff cleanly.
 		if s.Survive != "" && s.Survive != "none" && s.Survive != "auto" {
@@ -277,8 +269,8 @@ func (s Scenario) Key() string {
 }
 
 // InstanceKey identifies the generated problem instance a place scenario
-// needs: the generator inputs only. Scenarios that differ in solver,
-// backend, eval mode, or parallelism share one instance file.
+// needs: the generator inputs only. Scenarios that differ in solver, eval
+// mode, or parallelism share one instance file.
 func (s Scenario) InstanceKey() string {
 	return fmt.Sprintf("%s-n%d-m%d-pt%s-k%d-seed%d", s.Family, s.N, s.M, formatPt(s.Pt), s.K, s.Seed)
 }
@@ -292,13 +284,12 @@ func formatPt(pt float64) string {
 // Expand validates the matrix and unrolls its cross product into the
 // deterministic scenario order the pool and the aggregator both rely on:
 // place scenarios first (axes varying innermost-to-outermost in the order
-// seed, par, budget, survive, eval, backend, solver, k, pt, m, n, family),
+// seed, par, budget, survive, eval, solver, k, pt, m, n, family),
 // then bench scenarios.
 func (m Matrix) Expand() ([]Scenario, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	backends := orDefault(m.DistBackends, "auto")
 	evals := orDefault(m.EvalModes, "auto")
 	survives := orDefault(m.Survive, "auto")
 	budgets := m.Budget
@@ -322,22 +313,20 @@ func (m Matrix) Expand() ([]Scenario, error) {
 				for _, pt := range m.Pt {
 					for _, k := range m.K {
 						for _, solver := range m.Solvers {
-							for _, backend := range backends {
-								for _, eval := range evals {
-									for _, survive := range survives {
-										for _, budget := range budgets {
-											for _, par := range pars {
-												for _, seed := range m.Seeds {
-													sc := Scenario{
-														Kind: KindPlace, Family: family, N: n, M: mm, Pt: pt, K: k,
-														Solver: solver, DistBackend: backend, EvalMode: eval,
-														Survive: survive, Budget: budget, Par: par, Quick: m.Quick, Seed: seed,
-													}
-													if family == "social" {
-														sc.N = 0 // generator-fixed; keep the key honest
-													}
-													out = append(out, sc)
+							for _, eval := range evals {
+								for _, survive := range survives {
+									for _, budget := range budgets {
+										for _, par := range pars {
+											for _, seed := range m.Seeds {
+												sc := Scenario{
+													Kind: KindPlace, Family: family, N: n, M: mm, Pt: pt, K: k,
+													Solver: solver, EvalMode: eval,
+													Survive: survive, Budget: budget, Par: par, Quick: m.Quick, Seed: seed,
 												}
+												if family == "social" {
+													sc.N = 0 // generator-fixed; keep the key honest
+												}
+												out = append(out, sc)
 											}
 										}
 									}
@@ -350,16 +339,14 @@ func (m Matrix) Expand() ([]Scenario, error) {
 		}
 	}
 	for _, id := range m.Experiments {
-		for _, backend := range backends {
-			for _, eval := range evals {
-				for _, par := range pars {
-					for _, seed := range m.Seeds {
-						out = append(out, Scenario{
-							Kind: KindBench, Experiment: id,
-							DistBackend: backend, EvalMode: eval, Par: par,
-							Quick: m.Quick, Seed: seed,
-						})
-					}
+		for _, eval := range evals {
+			for _, par := range pars {
+				for _, seed := range m.Seeds {
+					out = append(out, Scenario{
+						Kind: KindBench, Experiment: id,
+						EvalMode: eval, Par: par,
+						Quick: m.Quick, Seed: seed,
+					})
 				}
 			}
 		}

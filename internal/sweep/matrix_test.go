@@ -10,17 +10,17 @@ func TestQuickMatrixExpands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 k × 2 solvers × 2 backends × 2 survive × 2 budgets × 3 seeds place
-	// runs + 1 experiment × 2 backends × 3 seeds.
-	if len(scs) != 102 {
-		t.Fatalf("quick matrix expands to %d runs, want 102", len(scs))
+	// 2 n × 2 k × 2 solvers × 2 survive × 2 budgets × 3 seeds place runs
+	// + 1 experiment × 3 seeds.
+	if len(scs) != 99 {
+		t.Fatalf("quick matrix expands to %d runs, want 99", len(scs))
 	}
 	keys := make(map[string]int)
 	for _, sc := range scs {
 		keys[sc.Key()]++
 	}
-	if len(keys) != 34 {
-		t.Fatalf("quick matrix has %d scenario keys, want 34: %v", len(keys), keys)
+	if len(keys) != 33 {
+		t.Fatalf("quick matrix has %d scenario keys, want 33: %v", len(keys), keys)
 	}
 	for key, n := range keys {
 		if n != 3 {
@@ -29,28 +29,24 @@ func TestQuickMatrixExpands(t *testing.T) {
 	}
 	// The fault-free half keeps the historical key shape; the survivable
 	// half gets its own segment.
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/auto/par1"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1"]; !ok {
 		t.Errorf("expected canonical place key missing: %v", keys)
 	}
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/auto/par1/sv-shortcut"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1/sv-shortcut"]; !ok {
 		t.Errorf("expected survivable place key missing: %v", keys)
 	}
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/auto/par1/b-2"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1/b-2"]; !ok {
 		t.Errorf("expected budgeted place key missing: %v", keys)
 	}
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/auto/par1/sv-shortcut/b-2"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1/sv-shortcut/b-2"]; !ok {
 		t.Errorf("expected survivable budgeted place key missing: %v", keys)
 	}
-	if _, ok := keys["bench/table1/quick/auto/auto/par1"]; !ok {
+	if _, ok := keys["bench/table1/quick/auto/par1"]; !ok {
 		t.Errorf("expected canonical bench key missing: %v", keys)
 	}
-	// The forced-bounded half gets its own key segment, so bounded and
-	// auto trajectories gate independently.
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/bounded/auto/par1"]; !ok {
-		t.Errorf("expected bounded place key missing: %v", keys)
-	}
-	if _, ok := keys["bench/table1/quick/bounded/auto/par1"]; !ok {
-		t.Errorf("expected bounded bench key missing: %v", keys)
+	// The 600-node half runs on the bounded backend under its own key.
+	if _, ok := keys["place/rgg/n600/m8/pt0.12/k2/greedy/auto/par1"]; !ok {
+		t.Errorf("expected bounded-size place key missing: %v", keys)
 	}
 }
 
@@ -86,10 +82,10 @@ func TestInstanceKeySharedAcrossSolvers(t *testing.T) {
 	a := Scenario{Kind: KindPlace, Family: "rgg", N: 40, M: 8, Pt: 0.12, K: 2, Solver: "greedy", Seed: 1}
 	b := a
 	b.Solver = "sandwich"
-	b.DistBackend = "lazy"
+	b.EvalMode = "rebuild"
 	b.Par = 8
 	if a.InstanceKey() != b.InstanceKey() {
-		t.Fatalf("solver/backend/par must not split the instance cache: %s vs %s", a.InstanceKey(), b.InstanceKey())
+		t.Fatalf("solver/eval/par must not split the instance cache: %s vs %s", a.InstanceKey(), b.InstanceKey())
 	}
 	c := a
 	c.Seed = 2
@@ -119,7 +115,6 @@ func TestMatrixValidation(t *testing.T) {
 		{"repeated seed", func(m *Matrix) { m.Seeds = []int64{1, 2, 1} }, "seeds"},
 		{"unknown family", func(m *Matrix) { m.Families = []string{"torus"} }, "families"},
 		{"unknown solver", func(m *Matrix) { m.Solvers = []string{"magic"} }, "solvers"},
-		{"unknown backend", func(m *Matrix) { m.DistBackends = []string{"quantum"} }, "dist_backends"},
 		{"unknown eval", func(m *Matrix) { m.EvalModes = []string{"psychic"} }, "eval_modes"},
 		{"negative par", func(m *Matrix) { m.Parallelism = []int{-1} }, "parallelism"},
 		{"zero n", func(m *Matrix) { m.N = []int{0} }, "n"},
@@ -171,8 +166,8 @@ func TestReadMatrixRejectsUnknownField(t *testing.T) {
 	if len(scs) != 2 {
 		t.Fatalf("expanded %d scenarios, want 2", len(scs))
 	}
-	if scs[0].DistBackend != "auto" || scs[0].EvalMode != "auto" {
-		t.Fatalf("backend/eval defaults not applied: %+v", scs[0])
+	if scs[0].EvalMode != "auto" {
+		t.Fatalf("eval default not applied: %+v", scs[0])
 	}
 }
 
@@ -187,7 +182,7 @@ func TestSocialFamilyCollapsesN(t *testing.T) {
 	}
 	// The social generator is fixed-size: the n axis must not fan
 	// identical runs under different keys.
-	want := 2 * 2 * 2 * 2 * 2 * 3 // k × solver × backend × survive × budget × seeds
+	want := 2 * 2 * 2 * 2 * 3 // k × solver × survive × budget × seeds
 	if len(scs) != want {
 		t.Fatalf("social family expanded to %d runs, want %d", len(scs), want)
 	}

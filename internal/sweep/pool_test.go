@@ -113,9 +113,9 @@ func TestRunAllCollectsPerRunErrors(t *testing.T) {
 			ok++
 		}
 	}
-	// One seed of three fails per scenario key (34 keys).
-	if failed != 34 || ok != 68 {
-		t.Fatalf("failed=%d ok=%d, want 34/68", failed, ok)
+	// One seed of three fails per scenario key (33 keys).
+	if failed != 33 || ok != 66 {
+		t.Fatalf("failed=%d ok=%d, want 33/66", failed, ok)
 	}
 	if progressed.Load() != int64(len(scs)) {
 		t.Fatalf("progress called %d times for %d runs", progressed.Load(), len(scs))

@@ -29,12 +29,12 @@ type Counters struct {
 	OverlayQueries atomic.Int64
 	// OverlayRows counts full distance-row queries against an overlay.
 	OverlayRows atomic.Int64
-	// RowCacheHits counts lazy-table row requests served from cache.
+	// RowCacheHits counts row-cache requests served from cache.
 	RowCacheHits atomic.Int64
-	// RowCacheMisses counts lazy-table row requests that created a new
-	// cache entry.
+	// RowCacheMisses counts row-cache requests that created a new cache
+	// entry.
 	RowCacheMisses atomic.Int64
-	// RowCacheComputes counts Dijkstra runs performed by lazy tables.
+	// RowCacheComputes counts Dijkstra runs performed by row caches.
 	// Unlike the solver counters above, the row-cache counters depend on
 	// the distance backend (dense tables never touch them) and — under a
 	// row cap — on goroutine interleaving, so the backend-equivalence
@@ -168,11 +168,11 @@ func (c *Counters) Reset() {
 
 // BackendInvariant returns a copy of the snapshot with every counter that
 // depends on the distance backend zeroed: Dijkstra runs and edge
-// relaxations (eager for a dense table, on-demand for a lazy one), the
+// relaxations (eager for a dense table, on-demand for a bounded one), the
 // row-cache activity (dense tables never touch it; under a row cap it
 // also depends on goroutine interleaving), the merge row classification
 // (RowsMerged/RowsUnchanged look at stored distances beyond d_t, which a
-// bounded backend deliberately reports as +Inf where dense/lazy hold
+// bounded backend deliberately reports as +Inf where a dense table holds
 // finite values), and CandidatesPruned (only pruned scans bump it, and
 // only sparse backends run them). What remains is exactly the solver work
 // that must be identical across backends — the invariant the

@@ -157,9 +157,9 @@ type RunRecord struct {
 	Seed int64 `json:"seed"`
 	// Workers is the resolved candidate-scan parallelism (0 = default).
 	Workers int `json:"workers"`
-	// DistBackend records the distance backend the run was launched with
-	// ("auto", "dense", "lazy", "bounded"); "" for runs that predate the
-	// field.
+	// DistBackend records the distance backend the run's instance resolved
+	// to ("dense" or "bounded"); "" for whole-experiment records, whose
+	// instances may differ, and for runs that predate the field.
 	DistBackend string `json:"dist_backend"`
 	// EvalMode records the search evaluation mode the run was launched
 	// with ("auto", "incremental", "rebuild"); "" for runs that predate
@@ -195,8 +195,8 @@ type RunRecord struct {
 	// WallMS is the run's wall-clock time in milliseconds.
 	WallMS float64 `json:"wall_ms"`
 	// RowBytesResident is the process-wide distance-row payload resident
-	// at emission time (lazy dense rows, bounded sparse rows, dense rows
-	// materialized from them); 0 for runs that predate the field. Unlike the
+	// at emission time (bounded sparse rows and dense rows materialized
+	// from them); 0 for runs that predate the field. Unlike the
 	// counters, it is a level, not a delta — the number behind the
 	// "bytes/row scales with the d_t-ball" claim.
 	RowBytesResident int64 `json:"row_bytes_resident"`

@@ -81,35 +81,24 @@ type (
 	// Threshold is the connectivity requirement in both its probability
 	// (p_t) and distance (d_t) forms.
 	Threshold = failprob.Threshold
-	// DistanceSource abstracts shortest-path access: a dense DistanceTable,
-	// a LazyDistanceTable, or a BoundedDistanceTable; InstanceOptions.Table
-	// accepts any of them.
+	// DistanceSource abstracts shortest-path access: a dense DistanceTable
+	// or a BoundedDistanceTable; InstanceOptions.Table accepts either.
 	DistanceSource = shortestpath.DistanceSource
 	// DistanceTable is an eagerly materialized all-pairs shortest-path
 	// table.
 	DistanceTable = shortestpath.Table
-	// LazyDistanceTable computes Dijkstra rows on demand and memoizes them
-	// in a sharded, concurrency-safe cache; construction is O(1) instead
-	// of n Dijkstras.
-	LazyDistanceTable = shortestpath.LazyTable
-	// LazyTableOptions tune a LazyDistanceTable (row cap, shard count).
-	LazyTableOptions = shortestpath.LazyOptions
 	// BoundedDistanceTable computes bounded-reach Dijkstra rows on demand
 	// and stores them sparsely: per-row memory scales with the d_t-ball,
-	// not with n. Distances beyond the reach read +Inf — exact for any
-	// consumer that only compares distances against a threshold ≤ reach,
-	// which is all the MSC solvers ever do.
+	// not with n. Within the reach its distances are bit-identical to a
+	// DistanceTable's; beyond it they read +Inf — exact for any consumer
+	// that only compares distances against a threshold ≤ reach, which is
+	// all the MSC solvers ever do.
 	BoundedDistanceTable = shortestpath.BoundedTable
-	// BoundedTableOptions tune a BoundedDistanceTable (reach, row cap,
-	// shard count).
+	// BoundedTableOptions tune a BoundedDistanceTable (its reach).
 	BoundedTableOptions = shortestpath.BoundedOptions
 	// SparseDistanceRow is a compact (node, distance) distance row as
 	// returned by BoundedDistanceTable.SparseRow; absent nodes read +Inf.
 	SparseDistanceRow = shortestpath.SparseRow
-	// DistBackend selects the distance backend an instance builds when no
-	// table is supplied: BackendAuto, BackendDense, BackendLazy, or
-	// BackendBounded.
-	DistBackend = core.DistBackend
 	// EvalMode selects how searches maintain their state across Add
 	// commits: EvalIncremental or EvalRebuild.
 	EvalMode = core.EvalMode
@@ -186,20 +175,11 @@ const (
 	StopEvalBudget = core.StopEvalBudget
 )
 
-// Distance backends selectable via InstanceOptions.DistBackend. BackendAuto
-// (the zero value) picks dense below DefaultLazyThreshold nodes, lazy from
-// there up to DefaultBoundedThreshold, and bounded at or above; placements
-// and σ/μ/ν are identical across backends.
-const (
-	BackendAuto    = core.BackendAuto
-	BackendDense   = core.BackendDense
-	BackendLazy    = core.BackendLazy
-	BackendBounded = core.BackendBounded
-	// DefaultLazyThreshold is the BackendAuto dense→lazy switchover.
-	DefaultLazyThreshold = core.DefaultLazyThreshold
-	// DefaultBoundedThreshold is the BackendAuto lazy→bounded switchover.
-	DefaultBoundedThreshold = core.DefaultBoundedThreshold
-)
+// DefaultLazyThreshold is the node count at and above which an instance
+// built without InstanceOptions.Table reads a BoundedDistanceTable at reach
+// d_t instead of a dense DistanceTable (the "length" cost model always
+// gets the dense one). Placements and σ/μ/ν are identical either way.
+const DefaultLazyThreshold = core.DefaultLazyThreshold
 
 // Evaluation modes selectable via InstanceOptions.EvalMode. EvalModeAuto
 // (the zero value) resolves to EvalIncremental — O(n) row merges and delta
@@ -284,31 +264,20 @@ func NewPairSet(n int, ps []Pair) (*PairSet, error) { return pairs.NewSet(n, ps)
 // instances with different thresholds via InstanceOptions.Table.
 func NewDistanceTable(g *Graph) *DistanceTable { return shortestpath.NewTable(g, 0) }
 
-// NewLazyDistanceTable wraps g in an on-demand distance source: rows are
-// computed by Dijkstra on first use and memoized. Share it across
-// instances via InstanceOptions.Table when n is large and only a sparse
-// set of rows will ever be read.
-func NewLazyDistanceTable(g *Graph, opts LazyTableOptions) *LazyDistanceTable {
-	return shortestpath.NewLazyTable(g, opts)
-}
-
 // NewBoundedDistanceTable wraps g in a bounded-reach sparse distance
 // source: rows hold only the nodes within opts.Reach of the source, and
 // everything beyond reads +Inf. Share it across instances whose d_t is at
-// most the reach via InstanceOptions.Table.
+// most the reach via InstanceOptions.Table; NewInstance rejects it for an
+// instance whose d_t exceeds the reach.
 func NewBoundedDistanceTable(g *Graph, opts BoundedTableOptions) (*BoundedDistanceTable, error) {
 	return shortestpath.NewBoundedTable(g, opts)
 }
 
 // RowBytesResident reports the bytes of distance-row payload currently
-// resident across every row cache in the process (lazy dense rows, bounded
-// sparse rows, materialized dense rows) — the
+// resident across every row cache in the process (bounded sparse rows and
+// the dense rows materialized from them) — the
 // msc_row_bytes_resident gauge as a plain value.
 func RowBytesResident() int64 { return shortestpath.RowBytesResident() }
-
-// ParseDistBackend validates a -dist-backend flag value ("auto", "dense",
-// "lazy", "bounded").
-func ParseDistBackend(s string) (DistBackend, error) { return core.ParseDistBackend(s) }
 
 // ParseEvalMode validates an -eval flag value ("auto", "incremental",
 // "rebuild").
@@ -358,7 +327,7 @@ func SampleViolatingPairs(t DistanceSource, thr Threshold, m int, rng *Rand) (*P
 // by rejection sampling point distance queries instead of enumerating
 // all ~n²/2 candidates — same uniform distribution over violating pairs
 // as SampleViolatingPairs, but each trial costs one Dist call, so it
-// composes with the lazy and bounded backends at 10⁴–10⁶ nodes. It fails
+// composes with the bounded backend at 10⁴–10⁶ nodes. It fails
 // after 1000·m unproductive draws, the regime where violating pairs are
 // rare and the exhaustive sampler is the right tool.
 func SampleViolatingPairsRandom(t DistanceSource, thr Threshold, m int, rng *Rand) (*PairSet, error) {
