@@ -172,7 +172,6 @@ func run(ctx context.Context) (retErr error) {
 				Algorithm:  "experiment",
 				Seed:       *seed,
 				Workers:    solver.Par,
-				EvalMode:   solver.EvalMode,
 				Survive:    solver.Survive,
 				Quick:      *quick,
 				Budget:     opts.Budget,

@@ -330,7 +330,6 @@ func run(ctx context.Context) (retErr error) {
 			Seed:             *seed,
 			Workers:          solver.Par,
 			DistBackend:      inst.Backend(),
-			EvalMode:         solver.EvalMode,
 			Survive:          string(inst.Survive()),
 			N:                inst.N(),
 			Pairs:            ps.Len(),

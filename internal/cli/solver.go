@@ -15,7 +15,6 @@ import (
 // also the worker count it hands to every solver call.
 type SolverFlags struct {
 	Par       int
-	EvalMode  string
 	Survive   string
 	CostModel string
 	Budget    float64
@@ -25,15 +24,12 @@ type SolverFlags struct {
 	CostTable string
 }
 
-// AddSolverFlags registers -par, -eval, -survive, -cost-model and
-// -budget on fs and returns the SolverFlags receiving their values after
+// AddSolverFlags registers -par, -survive, -cost-model and -budget on fs and returns the SolverFlags receiving their values after
 // fs.Parse.
 func AddSolverFlags(fs *flag.FlagSet) *SolverFlags {
 	f := &SolverFlags{}
 	fs.IntVar(&f.Par, "par", 0,
 		"candidate-scan workers: 1 = serial, 0 = GOMAXPROCS (results are identical either way)")
-	fs.StringVar(&f.EvalMode, "eval", "auto",
-		"search evaluation mode: auto|incremental|rebuild (incremental = O(n) row merges and delta gains rescans on Add; rebuild = full recompute reference path; placements are identical either way)")
 	fs.StringVar(&f.Survive, "survive", "auto",
 		"survivability mode: auto|none|shortcut|node (shortcut/node optimize the worst-case σ⁻ over all single shortcut or node failures, breaking ties by fault-free σ)")
 	fs.StringVar(&f.CostModel, "cost-model", "auto",
@@ -49,9 +45,6 @@ func AddSolverFlags(fs *flag.FlagSet) *SolverFlags {
 func (f *SolverFlags) Options() (core.Options, error) {
 	var o core.Options
 	var err error
-	if o.EvalMode, err = core.ParseEvalMode(f.EvalMode); err != nil {
-		return core.Options{}, err
-	}
 	if o.Survive, err = core.ParseSurvivability(f.Survive); err != nil {
 		return core.Options{}, err
 	}

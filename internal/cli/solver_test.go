@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -26,21 +27,21 @@ func TestSolverFlagsDefaultsAreZeroOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.EvalMode != core.EvalModeAuto || o.Survive != core.SurviveAuto ||
+	if o.Survive != core.SurviveAuto ||
 		o.CostModel != core.CostModelAuto || o.Budget != 0 || o.Parallelism != 0 {
 		t.Fatalf("default flags built %+v, want zero-valued solver options", o)
 	}
 }
 
 func TestSolverFlagsBuildOptions(t *testing.T) {
-	_, o, err := parseSolverFlags(t, "-par", "3", "-eval", "rebuild",
+	_, o, err := parseSolverFlags(t, "-par", "3",
 		"-survive", "node", "-cost-model", "length", "-budget", "2.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Options{Parallelism: 3, EvalMode: core.EvalRebuild,
+	want := core.Options{Parallelism: 3,
 		Survive: core.SurviveNode, CostModel: core.CostLength, Budget: 2.5}
-	if o.Parallelism != want.Parallelism || o.EvalMode != want.EvalMode ||
+	if o.Parallelism != want.Parallelism ||
 		o.Survive != want.Survive || o.CostModel != want.CostModel || o.Budget != want.Budget {
 		t.Fatalf("built %+v, want %+v", o, want)
 	}
@@ -65,7 +66,6 @@ func TestSolverFlagsCostTable(t *testing.T) {
 
 func TestSolverFlagsRejections(t *testing.T) {
 	for _, args := range [][]string{
-		{"-eval", "fast"},
 		{"-survive", "edge"},
 		{"-cost-model", "free"},
 		{"-budget", "-1"},
@@ -78,6 +78,13 @@ func TestSolverFlagsRejections(t *testing.T) {
 		if _, _, err := parseSolverFlags(t, args...); err == nil {
 			t.Errorf("%v: accepted, want an error", args)
 		}
+	}
+	// Searches have one evaluation path: the retired -eval flag is unknown.
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	AddSolverFlags(fs)
+	if err := fs.Parse([]string{"-eval", "rebuild"}); err == nil || !strings.Contains(err.Error(), "-eval") {
+		t.Errorf("-eval rebuild: parse error %v, want an unknown-flag error", err)
 	}
 	// auto is the unset cost model, so it needs no budget.
 	if _, _, err := parseSolverFlags(t, "-cost-model", "auto"); err != nil {

@@ -83,7 +83,7 @@ var budgetSolvers = []struct {
 // the budgeted stack: on 24 seeds with heterogeneous length-proportional
 // prices, every solver must stay budget-feasible, never beat the
 // ExhaustiveBudget optimum, and return byte-identical placements across
-// worker counts and across both eval-engine modes. The exhaustive
+// worker counts and against the rebuild reference (rebuildAdds). The exhaustive
 // reference itself must agree between its serial and residue-strided
 // parallel enumerations, and the sandwich must honor its reported
 // (budget-adjusted) approximation factor against the true optimum.
@@ -92,7 +92,8 @@ func TestBudgetedSolversDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		g, ps, table := budgetWorld(t, 10, 5, 0.8, seed)
 		inst := budgetInstance(t, g, ps, table, 3, 0.8, Options{Budget: budget, CostModel: CostLength})
-		rebuilt := budgetInstance(t, g, ps, table, 3, 0.8, Options{Budget: budget, CostModel: CostLength, EvalMode: EvalRebuild})
+		rebuilt := budgetInstance(t, g, ps, table, 3, 0.8, Options{Budget: budget, CostModel: CostLength})
+		rebuilt.rebuildAdds = true
 
 		opt, err := ExhaustiveBudget(inst, 2_000_000)
 		if err != nil {
@@ -118,7 +119,7 @@ func TestBudgetedSolversDifferential(t *testing.T) {
 			}
 			other := s.run(t, rebuilt, 1, seed)
 			if !equalInts(serial, other) {
-				t.Fatalf("seed=%d %s: rebuild eval mode %v != incremental %v", seed, s.name, other, serial)
+				t.Fatalf("seed=%d %s: rebuild reference %v != incremental %v", seed, s.name, other, serial)
 			}
 			if spent := inst.CostOf(serial); spent > budget+1e-9 {
 				t.Fatalf("seed=%d %s: placement %v spends %v of budget %v", seed, s.name, serial, spent, budget)

@@ -8,13 +8,14 @@ import (
 
 // End-to-end evidence for the incremental evaluation engine: a full greedy
 // run (k Add commits plus k+1 candidate scans) at the paper's mid scale,
-// once per eval mode on identical inputs. Run with -benchmem; the
-// incremental mode must beat rebuild on both wall time and B/op while
-// producing the byte-identical placement (the eval-differential suite
-// asserts the identity; benchGreedyEval re-checks σ here as a tripwire).
+// once with the merge commit and once with the test-only rebuild reference
+// (rebuildAdds) on identical inputs. Run with -benchmem; the merge must
+// beat the rebuild on both wall time and B/op while producing the
+// byte-identical placement (the eval-differential suite asserts the
+// identity; benchGreedyEval re-checks σ here as a tripwire).
 //
 //	go test ./internal/core/ -run '^$' -bench BenchmarkGreedySigmaEval -benchmem
-func benchGreedyEval(b *testing.B, mode EvalMode) {
+func benchGreedyEval(b *testing.B, rebuildAdds bool) {
 	const (
 		n  = 1000
 		m  = 50
@@ -24,10 +25,11 @@ func benchGreedyEval(b *testing.B, mode EvalMode) {
 	rng := xrand.New(308)
 	inst0 := benchInstance(b, n, m, k, dt, rng)
 	inst, err := NewInstance(inst0.Graph(), inst0.Pairs(), inst0.Threshold(), inst0.K(),
-		&Options{AllowTrivial: true, Table: inst0.Table(), EvalMode: mode})
+		&Options{AllowTrivial: true, Table: inst0.Table()})
 	if err != nil {
 		b.Fatalf("NewInstance: %v", err)
 	}
+	inst.rebuildAdds = rebuildAdds
 	var sigma int
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -45,24 +47,25 @@ func benchGreedyEval(b *testing.B, mode EvalMode) {
 	}
 }
 
-func BenchmarkGreedySigmaEvalIncremental(b *testing.B) { benchGreedyEval(b, EvalIncremental) }
-func BenchmarkGreedySigmaEvalRebuild(b *testing.B)     { benchGreedyEval(b, EvalRebuild) }
+func BenchmarkGreedySigmaEvalIncremental(b *testing.B) { benchGreedyEval(b, false) }
+func BenchmarkGreedySigmaEvalRebuild(b *testing.B)     { benchGreedyEval(b, true) }
 
 // benchAddScan times one greedy round's state work — commit a shortcut,
 // then produce the next round's gains array. That pairing is the unit the
 // incremental engine optimizes: its Add patches the live gains in place
 // (two overlay row queries + O(n) row merges + delta rescan of the touched
 // pairs) so the following GainsAdd is a pure return, while the rebuild
-// path's cheap Add defers everything to a full cold scan. Timing Add alone
-// would credit the rebuild path for work it merely postponed.
-func benchAddScan(b *testing.B, mode EvalMode) {
+// reference's cheap Add defers everything to a full cold scan. Timing Add
+// alone would credit the rebuild reference for work it merely postponed.
+func benchAddScan(b *testing.B, rebuildAdds bool) {
 	rng := xrand.New(309)
 	inst0 := benchInstance(b, 600, 30, 8, 0.8, rng)
 	inst, err := NewInstance(inst0.Graph(), inst0.Pairs(), inst0.Threshold(), inst0.K(),
-		&Options{AllowTrivial: true, Table: inst0.Table(), EvalMode: mode})
+		&Options{AllowTrivial: true, Table: inst0.Table()})
 	if err != nil {
 		b.Fatalf("NewInstance: %v", err)
 	}
+	inst.rebuildAdds = rebuildAdds
 	s := inst.NewSearch(nil)
 	setSearchWorkers(s, 1)
 	cand, _ := s.BestAdd()
@@ -81,5 +84,5 @@ func benchAddScan(b *testing.B, mode EvalMode) {
 	}
 }
 
-func BenchmarkAddScanEvalIncremental(b *testing.B) { benchAddScan(b, EvalIncremental) }
-func BenchmarkAddScanEvalRebuild(b *testing.B)     { benchAddScan(b, EvalRebuild) }
+func BenchmarkAddScanEvalIncremental(b *testing.B) { benchAddScan(b, false) }
+func BenchmarkAddScanEvalRebuild(b *testing.B)     { benchAddScan(b, true) }

@@ -15,14 +15,15 @@ import (
 
 // This file is the eval-differential suite: for every placement algorithm,
 // an instance evaluated incrementally (O(n) row merges + delta gains
-// rescans on Add) and one evaluated by full rebuilds must produce
-// byte-identical placements, and within the incremental mode the patched
-// gains array must match a cold rescan of the merged rows bit for bit.
-// Run under -race it also certifies the sharded merge and gains patch.
+// rescans on Add) and one whose searches rebuild every row on Add (the
+// test-only rebuildAdds reference) must produce byte-identical
+// placements, and the patched gains array must match a cold rescan of the
+// merged rows bit for bit. Run under -race it also certifies the sharded
+// merge and gains patch.
 
-// evalPair builds an incremental-mode and a rebuild-mode instance over the
-// same graph, pair set, threshold, budget, and distance table, so the only
-// difference between the two is the evaluation strategy.
+// evalPair builds an incremental instance and a rebuild-reference instance
+// over the same graph, pair set, threshold, budget, and distance table, so
+// the only difference between the two is how searches commit an Add.
 func evalPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand) (inc, reb *Instance) {
 	t.Helper()
 	g := randomConnectedGraph(t, n, 2*n, rng)
@@ -32,15 +33,45 @@ func evalPair(t *testing.T, n, m, k int, dt float64, rng *xrand.Rand) (inc, reb 
 		t.Skipf("could not sample %d violating pairs: %v", m, err)
 	}
 	thr := failprob.Threshold{P: 1 - math.Exp(-dt), D: dt}
-	inc, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, Table: table, EvalMode: EvalIncremental})
+	inc, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, Table: table})
 	if err != nil {
 		t.Fatalf("NewInstance(incremental): %v", err)
 	}
-	reb, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, Table: table, EvalMode: EvalRebuild})
+	reb, err = NewInstance(g, ps, thr, k, &Options{AllowTrivial: true, Table: table})
 	if err != nil {
 		t.Fatalf("NewInstance(rebuild): %v", err)
 	}
+	reb.rebuildAdds = true
 	return inc, reb
+}
+
+// fullGridGains is the unpruned cold scan, kept as a test oracle: every
+// unsatisfied pair visits every cell of the triangular candidate grid with
+// the scan's own two comparisons, so the near-list pruning of coldScan
+// must reproduce it bit for bit, ties at d_t included.
+func fullGridGains(s *instSearch) []int {
+	nodes := s.inst.candNodes
+	t := len(nodes)
+	dt := s.inst.thr.D
+	gains := make([]int, s.inst.numCand)
+	for i, d := range s.pairDist {
+		if d <= dt {
+			continue
+		}
+		w := int(s.inst.weights[i])
+		ru, rw := s.rows[s.pairU[i]], s.rows[s.pairW[i]]
+		idx := 0
+		for ai := 0; ai < t; ai++ {
+			ca, cb := dt-ru[nodes[ai]], dt-rw[nodes[ai]]
+			for bi := ai + 1; bi < t; bi++ {
+				if rw[nodes[bi]] <= ca || ru[nodes[bi]] <= cb {
+					gains[idx] += w
+				}
+				idx++
+			}
+		}
+	}
+	return gains
 }
 
 // TestEvalDifferentialSolvers runs every solver on incremental and rebuild
@@ -69,7 +100,7 @@ func TestEvalDifferentialSolvers(t *testing.T) {
 								ic.CandidateEvals, ic.SigmaEvals, rc.CandidateEvals, rc.SigmaEvals)
 						}
 						if rc.RowsMerged != 0 || rc.RowsUnchanged != 0 || rc.PairsSkipped != 0 {
-							t.Errorf("rebuild mode touched incremental counters: %+v", rc)
+							t.Errorf("rebuild reference touched incremental counters: %+v", rc)
 						}
 					})
 
@@ -101,7 +132,7 @@ func TestEvalDifferentialSolvers(t *testing.T) {
 						rres := AEA(reb, opts, xrand.New(seed))
 						comparePlacements(t, "AEA.Best", ires.Best, rres.Best)
 						if !reflect.DeepEqual(ires.Trace, rres.Trace) {
-							t.Errorf("AEA trace differs between eval modes")
+							t.Errorf("AEA trace differs from the rebuild reference")
 						}
 					})
 
@@ -129,9 +160,10 @@ func TestEvalDifferentialSolvers(t *testing.T) {
 // TestEvalGainsPatchMatchesColdScan is the bit-identity check at the heart
 // of the incremental engine: after every Add, the gains array the delta
 // patch maintained in place must equal — cell for cell — what a cold fused
-// rescan of the (merged) rows computes, and σ must agree with the
-// instance's overlay oracle. It also exercises the RemoveAt rebuild
-// fallback and the first cold scan after it.
+// rescan of the (merged) rows computes, the pruned cold scan must equal
+// the full-grid walk, and σ must agree with the instance's overlay
+// oracle. It also exercises the RemoveAt rebuild fallback and the first
+// cold scan after it.
 func TestEvalGainsPatchMatchesColdScan(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for _, workers := range []int{1, 8} {
@@ -150,6 +182,9 @@ func TestEvalGainsPatchMatchesColdScan(t *testing.T) {
 					cold := s.GainsAdd()
 					if !reflect.DeepEqual(warm, cold) {
 						t.Fatalf("%s: patched gains differ from cold rescan\npatched %v\ncold    %v", step, warm, cold)
+					}
+					if full := fullGridGains(s); !reflect.DeepEqual(cold, full) {
+						t.Fatalf("%s: pruned cold scan differs from the full-grid walk\npruned %v\nfull   %v", step, cold, full)
 					}
 					if oracle := s.inst.Sigma(s.sel); s.sigma != oracle {
 						t.Fatalf("%s: search σ %d, oracle σ %d", step, s.sigma, oracle)
@@ -249,12 +284,12 @@ func TestEvalStatsRoundTrace(t *testing.T) {
 		t.Errorf("LastEvalStats did not drain: (%d, %d, %d, %d)", rm, ru, pr, psk)
 	}
 
-	// Rebuild-mode rounds carry zero incremental stats.
+	// Rebuild-reference rounds carry zero incremental stats.
 	sink = &memSink{}
 	GreedySigma(reb, WithSink(sink))
 	for _, ev := range sink.rounds("greedy_sigma") {
 		if ev.RowsMerged != 0 || ev.RowsUnchanged != 0 || ev.PairsSkipped != 0 {
-			t.Fatalf("rebuild-mode round %d carries incremental stats: %+v", ev.Round, ev)
+			t.Fatalf("rebuild-reference round %d carries incremental stats: %+v", ev.Round, ev)
 		}
 	}
 }
@@ -274,57 +309,6 @@ func TestEvalMergeStress(t *testing.T) {
 	comparePlacements(t, "GreedySigma(stress)", ipl, rpl)
 	if len(ipl.Selection) == 0 {
 		t.Skip("no improving shortcut at stress size")
-	}
-}
-
-// TestEvalModeResolution pins the resolution chain: explicit option →
-// incremental.
-func TestEvalModeResolution(t *testing.T) {
-	def := pathInstance(t, 32, &Options{AllowTrivial: true})
-	if def.EvalMode() != EvalIncremental {
-		t.Errorf("auto default: got %q, want %q", def.EvalMode(), EvalIncremental)
-	}
-	for _, m := range []EvalMode{EvalIncremental, EvalRebuild} {
-		explicit := pathInstance(t, 32, &Options{AllowTrivial: true, EvalMode: m})
-		if explicit.EvalMode() != m {
-			t.Errorf("explicit %q: got %q", m, explicit.EvalMode())
-		}
-	}
-}
-
-func TestParseEvalMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want EvalMode
-	}{
-		{"", EvalModeAuto},
-		{"auto", EvalModeAuto},
-		{"incremental", EvalIncremental},
-		{"rebuild", EvalRebuild},
-	} {
-		got, err := ParseEvalMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseEvalMode(%q) = (%q, %v), want (%q, nil)", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseEvalMode("lazy"); err == nil {
-		t.Error("ParseEvalMode(\"lazy\") succeeded, want error")
-	}
-}
-
-// TestEvalModeOptionValidation rejects an unknown mode smuggled past
-// ParseEvalMode into Options.
-func TestEvalModeOptionValidation(t *testing.T) {
-	rng := xrand.New(9980)
-	g := randomConnectedGraph(t, 12, 24, rng)
-	table := shortestpath.NewTable(g, 0)
-	ps, err := pairs.SampleViolating(table, 0.8, 4, rng)
-	if err != nil {
-		t.Skipf("could not sample pairs: %v", err)
-	}
-	thr := failprob.Threshold{P: 1 - math.Exp(-0.8), D: 0.8}
-	if _, err := NewInstance(g, ps, thr, 2, &Options{AllowTrivial: true, Table: table, EvalMode: EvalMode("bogus")}); err == nil {
-		t.Error("bogus eval mode accepted, want error")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // disconnected graphs, d_t = 0) must come back as clean errors or valid
 // placements, never panics; and the algorithm lattice must hold:
 // Exhaustive ≥ GreedySigma, Sandwich.Best ≥ each of its arms, all σ in
-// [0, m], serial == parallel.
+// [0, m], serial == parallel, dense == bounded, pruned scan == full grid.
 func FuzzInstance(f *testing.F) {
 	f.Add([]byte{5, 2, 1, 0x01, 0x12, 0x23, 0x34, 0x04, 0x13})
 	f.Add([]byte{2, 1, 0, 0x01, 0x01})                   // tiny, d_t = 0
@@ -110,6 +110,17 @@ func FuzzInstance(f *testing.F) {
 		if boundedGreedy.Sigma != greedy.Sigma || !slices.Equal(boundedGreedy.Selection, greedy.Selection) {
 			t.Fatalf("bounded-backend greedy (σ %d, %v) != dense (σ %d, %v)",
 				boundedGreedy.Sigma, boundedGreedy.Selection, greedy.Sigma, greedy.Selection)
+		}
+
+		// The near-list pruned cold scan must match the full-grid walk on
+		// both backends, before and after the greedy commits.
+		for _, in := range []*Instance{inst, boundedInst} {
+			for _, sel := range [][]int{nil, greedy.Selection} {
+				s := in.newInstSearch(sel)
+				if got, want := s.GainsAdd(), fullGridGains(s); !slices.Equal(got, want) {
+					t.Fatalf("%s cold scan at %v: %v, full grid %v", in.Backend(), sel, got, want)
+				}
+			}
 		}
 
 		sw := Sandwich(inst)

@@ -139,8 +139,10 @@ type Instance struct {
 	candPos   map[graph.NodeID]int32 // nil when candNodes is the identity
 	numCand   int
 
-	// evalMode is the resolved Options.EvalMode governing searches.
-	evalMode EvalMode
+	// rebuildAdds makes searches built from the instance commit every Add
+	// by a full rebuild instead of the row merge and gains patch: the
+	// reference the merge is verified against. Only white-box tests set it.
+	rebuildAdds bool
 
 	// survive is the resolved Options.Survive failure model; SurviveNone
 	// keeps the paper's fault-free objective (survive.go).
@@ -208,12 +210,6 @@ type Options struct {
 	// resolves like the solvers' Parallelism option (GOMAXPROCS). The
 	// table is identical for every worker count.
 	Parallelism int
-	// EvalMode selects how searches built from the instance maintain their
-	// state across Add commits: incremental O(n) row merges with delta
-	// gains rescans (the default), or the full-rebuild reference path.
-	// Placements, σ values, and gains arrays are identical across modes;
-	// the zero value resolves to EvalIncremental.
-	EvalMode EvalMode
 	// Survive selects the failure model the objective must survive:
 	// SurviveNone (the paper's fault-free σ), SurviveShortcut, or
 	// SurviveNode (survive.go). Under a non-none mode NewSearch returns the
@@ -279,16 +275,6 @@ func NewInstance(g *graph.Graph, ps *pairs.Set, thr failprob.Threshold, k int, o
 		ps:    ps,
 		thr:   thr,
 		k:     k,
-	}
-	var evalOpt EvalMode
-	if opts != nil {
-		evalOpt = opts.EvalMode
-	}
-	switch em := resolveEvalMode(evalOpt); em {
-	case EvalIncremental, EvalRebuild:
-		inst.evalMode = em
-	default:
-		return nil, fmt.Errorf("core: unknown eval mode %q (want auto, incremental, or rebuild)", em)
 	}
 	var survOpt Survivability
 	if opts != nil {
@@ -396,10 +382,6 @@ func (inst *Instance) PairWeight(i int) int { return int(inst.weights[i]) }
 // NumCandidates returns the candidate-universe size: t(t−1)/2 for t
 // candidate nodes (t = n unless ExcludePairEndpoints was set).
 func (inst *Instance) NumCandidates() int { return inst.numCand }
-
-// EvalMode returns the resolved evaluation mode governing searches built
-// from the instance.
-func (inst *Instance) EvalMode() EvalMode { return inst.evalMode }
 
 // CandidateNodes returns the nodes allowed to host shortcut endpoints.
 // Callers must not modify the slice.

@@ -122,7 +122,7 @@ type ScanTimer interface {
 // many pairs the gains scans recomputed vs. kept verbatim. LastEvalStats
 // drains the accumulators, so each call reports the work since the
 // previous one — GreedySigma calls it once per committed round to fill the
-// RoundEvent fields. All four stay 0 under EvalRebuild.
+// RoundEvent fields.
 type EvalStats interface {
 	LastEvalStats() (rowsMerged, rowsUnchanged, pairsRescanned, pairsSkipped int64)
 }

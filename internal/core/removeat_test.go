@@ -11,17 +11,17 @@ import (
 // can lengthen distances, and min-merges cannot undo a min), and the state
 // it leaves — distance rows, pair distances, σ, and the next gains scan —
 // must be bit-identical to a search built cold on the reduced selection,
-// under both eval modes and after incremental (merge-path) adds.
+// after merge-path adds and after adds through the rebuild reference.
 func TestRemoveAtRebuildBitIdentical(t *testing.T) {
-	for _, mode := range []EvalMode{EvalIncremental, EvalRebuild} {
+	for _, mode := range []string{"merge", "rebuild"} {
 		rng := xrand.New(5150)
 		for trial := 0; trial < 8; trial++ {
 			inst := testInstance(t, 16, 7, 6, 0.9, rng)
+			inst.rebuildAdds = mode == "rebuild"
 			warm, ok := inst.NewSearch(nil).(*instSearch)
 			if !ok {
 				t.Fatalf("mode=%s: NewSearch returned %T", mode, warm)
 			}
-			warm.incremental = mode == EvalIncremental
 			// Grow through the mode's Add path, with warm gains state live so
 			// removal must invalidate a patched array, not a cold one.
 			adds := rng.SampleDistinct(inst.NumCandidates(), 4)

@@ -28,17 +28,15 @@ import (
 // per round with a tight two-float-compare inner loop instead of re-running
 // a shortest-path computation per candidate.
 //
-// Under EvalIncremental (the default) the same identity also maintains the
-// state across commits: Add computes only the two overlay rows d_F(a,·) and
-// d_F(b,·) of the new shortcut's endpoints and merges them into every
-// endpoint row in O(n), instead of recomputing all rows from a fresh
-// overlay. Before the merge overwrites the rows, the live gains array is
-// patched in place from the same two rows, so the next BestAdd pays no
-// rescan for pairs the commit did not touch (see DESIGN.md §8). RemoveAt
-// always falls back to a full rebuild: a deletion can lengthen distances,
-// and min-merges cannot undo a min. EvalRebuild disables all of this and
-// rebuilds after every mutation — the reference path the eval-differential
-// suite compares against.
+// The same identity also maintains the state across commits: Add computes
+// only the two overlay rows d_F(a,·) and d_F(b,·) of the new shortcut's
+// endpoints and merges them into every endpoint row in O(n), instead of
+// recomputing all rows from a fresh overlay. Before the merge overwrites
+// the rows, the live gains array is patched in place from the same two
+// rows, so the next BestAdd pays no rescan for pairs the commit did not
+// touch (see DESIGN.md §8). RemoveAt and the cold start rebuild every row
+// from a fresh overlay: a deletion can lengthen distances, and min-merges
+// cannot undo a min.
 //
 // Concurrency: an instSearch is single-caller like every Search, but with
 // SetWorkers > 1 its scans shard internally — GainsAdd splits the
@@ -77,8 +75,7 @@ type instSearch struct {
 	shardRun  func(shard, lo, hi int)
 	gainsBody func(aiLo, aiHi int)
 
-	// Incremental evaluation state (EvalIncremental; DESIGN.md §8).
-	incremental bool // resolved Instance eval mode
+	// Incremental evaluation state (DESIGN.md §8).
 	// gainsValid marks gains/inGains as exactly what a cold scan over the
 	// CURRENT rows would produce. Set by a completed cold scan, kept up to
 	// date by Add's delta patch, dropped by RemoveAt and interruption.
@@ -104,20 +101,19 @@ type instSearch struct {
 	deltaOff   []int32 // deltaPos offsets, one extra leading 0
 	deltaPos   []int32 // arena of per-pair merged changed-position lists
 
-	// Pruned-scan state. pruneScan restricts each cold-scan pair to its
+	// Pruned-scan state. Every cold scan restricts each pair to its
 	// near-candidate list (the candidates within d_t of either endpoint):
 	// a candidate cell (a,b) can only gain through ru[a]+rw[b] ≤ d_t or
 	// ru[b]+rw[a] ≤ d_t, and with non-negative distances both summands of
 	// a passing term are themselves ≤ d_t, so every gaining cell has both
 	// endpoints in the list — scanning the list's triangle is exactly
-	// equivalent to the full grid. On a sparse (bounded) backend the
-	// lists are the d_t-balls and the saving is the whole point; the
-	// candidate universe it skips feeds the CandidatesPruned counter,
+	// equivalent to the full grid. The lists are the d_t-balls, built
+	// only from values ≤ d_t, which every backend stores bit-identically;
+	// the candidate universe they skip feeds the CandidatesPruned counter,
 	// accumulated while the lists are built (serially), so the total is
-	// identical at every worker count. sparseBest additionally replaces
-	// the dense gains array — numCand ints, ~40 GB at n=10⁵ — with a
-	// sparse aggregation in BestAdd.
-	pruneScan  bool
+	// identical at every worker count and on every backend. sparseBest
+	// additionally replaces the dense gains array — numCand ints, ~40 GB
+	// at n=10⁵ — with a sparse aggregation in BestAdd.
 	sparseBest bool
 	candUOff   []int   // per-unsat-pair offsets into candU (len(unsat)+1)
 	candU      []int32 // arena: near-candidate positions, ascending per pair
@@ -180,15 +176,12 @@ func (inst *Instance) newInstSearch(sel []int) *instSearch {
 // either rebuild() (cold start) or copy rows from a sibling (clone).
 func (inst *Instance) newSearchState(sel []int) *instSearch {
 	s := &instSearch{
-		inst:        inst,
-		sel:         append([]int(nil), sel...),
-		workers:     1,
-		endpoints:   inst.ps.Nodes(),
-		incremental: inst.evalMode == EvalIncremental,
+		inst:       inst,
+		sel:        append([]int(nil), sel...),
+		workers:    1,
+		endpoints:  inst.ps.Nodes(),
+		sparseBest: inst.numCand >= sparseGainsThreshold,
 	}
-	_, sparse := inst.table.(shortestpath.SparseSource)
-	s.pruneScan = sparse || inst.numCand >= sparseGainsThreshold
-	s.sparseBest = s.pruneScan && inst.numCand >= sparseGainsThreshold
 	rowIdx := make(map[graph.NodeID]int, len(s.endpoints))
 	for i, e := range s.endpoints {
 		rowIdx[e] = i
@@ -205,17 +198,15 @@ func (inst *Instance) newSearchState(sel []int) *instSearch {
 		s.pairW[i] = int32(rowIdx[p.W])
 	}
 	s.pairDist = make([]float64, m)
-	if s.incremental {
-		s.inGains = make([]bool, m)
-		s.firstChange = make([]int, len(s.rows))
-		s.changedCand = make([][]int32, len(s.rows))
-		// Classification scratch sized up front so the delta patch of a
-		// warm search never allocates.
-		s.dropPairs = make([]int32, 0, m)
-		s.fullPairs = make([]int32, 0, m)
-		s.deltaPairs = make([]int32, 0, m)
-		s.deltaOff = make([]int32, 0, m+1)
-	}
+	s.inGains = make([]bool, m)
+	s.firstChange = make([]int, len(s.rows))
+	s.changedCand = make([][]int32, len(s.rows))
+	// Classification scratch sized up front so the delta patch of a warm
+	// search never allocates.
+	s.dropPairs = make([]int32, 0, m)
+	s.fullPairs = make([]int32, 0, m)
+	s.deltaPairs = make([]int32, 0, m)
+	s.deltaOff = make([]int32, 0, m+1)
 	return s
 }
 
@@ -262,9 +253,9 @@ func (s *instSearch) interrupted() bool {
 // EnableScanTiming implements ScanTimer.
 func (s *instSearch) EnableScanTiming(on bool) { s.timeScan = on }
 
-// LastScanShards implements ScanTimer. Under EvalIncremental the most
-// recent timed scan may be Add's delta gains patch rather than a cold
-// GainsAdd pass — both shard over the same grid row ranges.
+// LastScanShards implements ScanTimer. The most recent timed scan may be
+// Add's delta gains patch rather than a cold GainsAdd pass — both shard
+// over the same grid row ranges.
 func (s *instSearch) LastScanShards() (minNS, maxNS int64, shards int) {
 	return s.scanMinNS, s.scanMaxNS, s.scanShards
 }
@@ -441,7 +432,7 @@ type sparseScratch struct {
 // over the w-ball, ru[b] ≤ d_t − rw[a] over the u-ball, the second
 // skipping cells the first already counted), so the walk touches only
 // gaining cells, not the whole near-list triangle. The visited cells are
-// exactly the nonzero cells of the dense scan (see the pruneScan
+// exactly the nonzero cells of the dense scan (see the pruned-scan
 // invariant) and the sums are exact integer adds, so the result matches
 // the dense argmax, including the (0, 0) answer of an all-zero scan.
 // Workers split the ai range by equal inverse-index load; each keeps a
@@ -708,12 +699,11 @@ func (s *instSearch) buildCandU() {
 // GainsAdd computes the σ gain of every candidate addition. The returned
 // slice is reused across calls.
 //
-// Under EvalIncremental the array is usually already current: Add patches
-// it in place when it commits a shortcut, so a warm call returns without
-// scanning anything. A cold scan — the first call, or the first after a
-// RemoveAt or an interrupted patch — runs the fused per-pair grid walk: for
-// each unsatisfied pair it visits every candidate cell with two float
-// compares.
+// The array is usually already current: Add patches it in place when it
+// commits a shortcut, so a warm call returns without scanning anything. A
+// cold scan — the first call, or the first after a RemoveAt or an
+// interrupted patch — runs the fused per-pair walk over each unsatisfied
+// pair's near-candidate triangle with two float compares per cell.
 //
 // With workers > 1 the triangular candidate grid is split into contiguous
 // row ranges of roughly equal cell count; each worker runs the same fused
@@ -723,13 +713,13 @@ func (s *instSearch) buildCandU() {
 // every argmax taken over it — is identical to the serial scan's.
 func (s *instSearch) GainsAdd() []int {
 	// One atomic add for the whole scan: the count is the logical scan
-	// width, identical for every worker count and both eval modes, and the
-	// inner loops stay untouched.
+	// width, identical for every worker count whether the array is patched
+	// or rescanned, and the inner loops stay untouched.
 	telemetry.Global().CandidateEvals.Add(int64(s.inst.numCand))
 	if s.gains == nil {
 		s.gains = make([]int, s.inst.numCand)
 	}
-	if s.incremental && s.gainsValid {
+	if s.gainsValid {
 		return s.gains
 	}
 	s.coldScan()
@@ -737,7 +727,8 @@ func (s *instSearch) GainsAdd() []int {
 }
 
 // coldScan recomputes the gains array from scratch: zero it, collect the
-// unsatisfied pairs, and run the fused grid scan over them.
+// unsatisfied pairs, build their near-candidate lists, and run the fused
+// pruned scan over them.
 func (s *instSearch) coldScan() {
 	for i := range s.gains {
 		s.gains[i] = 0
@@ -749,65 +740,26 @@ func (s *instSearch) coldScan() {
 		if un {
 			s.unsat = append(s.unsat, i)
 		}
-		if s.incremental {
-			s.inGains[i] = un
-		}
+		s.inGains[i] = un
 	}
 	telemetry.Global().PairsRescanned.Add(int64(len(s.unsat)))
 	s.evPairsRescanned += int64(len(s.unsat))
 	obs.ObserveMerge(0, int64(len(s.unsat)))
-	if s.pruneScan {
-		s.buildCandU()
-		if s.gainsBody == nil {
-			s.gainsBody = s.gainsPrunedRows
-		}
-	} else if s.gainsBody == nil {
-		s.gainsBody = s.gainsRows // method value; built once, reused warm
+	s.buildCandU()
+	if s.gainsBody == nil {
+		s.gainsBody = s.gainsPrunedRows // method value; built once, reused warm
 	}
 	s.scanShardsRun(s.gainsBody)
-	s.gainsValid = s.incremental && !s.interrupted()
+	s.gainsValid = !s.interrupted()
 }
 
-// gainsRows runs the fused gains scan restricted to candidate-grid rows
-// [aiLo, aiHi), accumulating into the gains segment those rows own. The
-// unsat scratch must already hold the unsatisfied pair indices.
-func (s *instSearch) gainsRows(aiLo, aiHi int) {
-	if aiLo >= aiHi {
-		return
-	}
-	nodes := s.inst.candNodes
-	t := len(nodes)
-	dt := s.inst.thr.D
-	for _, i := range s.unsat {
-		if s.interrupted() {
-			return
-		}
-		w := int(s.inst.weights[i])
-		ru := s.rows[s.pairU[i]]
-		rw := s.rows[s.pairW[i]]
-		idx := rowStart(t, aiLo)
-		for ai := aiLo; ai < aiHi; ai++ {
-			a := nodes[ai]
-			ca := dt - ru[a]
-			cb := dt - rw[a]
-			for bi := ai + 1; bi < t; bi++ {
-				b := nodes[bi]
-				if rw[b] <= ca || ru[b] <= cb {
-					s.gains[idx] += w
-				}
-				idx++
-			}
-		}
-	}
-}
-
-// gainsPrunedRows is gainsRows restricted to each pair's near-candidate
-// list (buildCandU must have run for the current unsat set): only cells
-// with both endpoints in the list can gain, so walking the list's
-// triangle — clipped to grid rows [aiLo, aiHi), the same shard ownership
-// as the dense scan — writes exactly the cells the dense scan would
-// increment, in the same per-pair order. The gains array is bit-identical
-// at every worker count and to the unpruned scan.
+// gainsPrunedRows runs the fused gains scan restricted to candidate-grid
+// rows [aiLo, aiHi), accumulating into the gains segment those rows own.
+// Each unsatisfied pair walks only its near-candidate list (buildCandU
+// must have run for the current unsat set): only cells with both
+// endpoints in the list can gain, so the list's triangle, clipped to the
+// shard's rows, holds exactly the cells a full-grid walk would increment.
+// The gains array is bit-identical at every worker count.
 func (s *instSearch) gainsPrunedRows(aiLo, aiHi int) {
 	if aiLo >= aiHi {
 		return
@@ -898,11 +850,12 @@ func (s *instSearch) BestDrop() (pos, sigma int) {
 	return pos, sigma
 }
 
-// Add commits candidate cand. Under EvalRebuild this recomputes every row
-// from a fresh overlay; under EvalIncremental it merges the shortcut into
-// the existing rows in O(n) per row and patches the live gains array.
+// Add commits candidate cand: it merges the shortcut into the existing
+// rows in O(n) per row and patches the live gains array (mergeAdd). On an
+// instance with the test-only rebuildAdds reference set, it rebuilds every
+// row from a fresh overlay instead.
 func (s *instSearch) Add(cand int) {
-	if !s.incremental {
+	if s.inst.rebuildAdds {
 		s.sel = append(s.sel, cand)
 		s.rebuild()
 		return
@@ -911,9 +864,9 @@ func (s *instSearch) Add(cand int) {
 }
 
 // RemoveAt removes the selection element at position pos. Deletions always
-// rebuild, in both eval modes: removing a shortcut can lengthen distances,
-// and the incremental min-merge has no way to undo a min — the information
-// about which pre-merge value a cell held is gone.
+// rebuild: removing a shortcut can lengthen distances, and the min-merge
+// has no way to undo a min — the information about which pre-merge value a
+// cell held is gone.
 func (s *instSearch) RemoveAt(pos int) {
 	s.sel = append(s.sel[:pos], s.sel[pos+1:]...)
 	s.rebuild()

@@ -203,7 +203,6 @@ func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 		}
 		opts := Options{
 			AllowTrivial:         true,
-			EvalMode:             inst.evalMode,
 			Survive:              SurviveNone, // scenario instances must never recurse
 			ExcludePairEndpoints: inst.candPos != nil,
 			PairWeights:          weights,
@@ -223,6 +222,7 @@ func (inst *Instance) nodeScenarios() ([]*Instance, []int) {
 			}
 			opts.Table = table
 			inst.nodeInsts[v] = MustNewInstance(gv, inst.ps, inst.thr, inst.k, &opts)
+			inst.nodeInsts[v].rebuildAdds = inst.rebuildAdds
 		}
 	})
 	return inst.nodeInsts, inst.nodeVac

@@ -277,28 +277,28 @@ func TestCounterTotalsSerialParallelEquivalence(t *testing.T) {
 // TestCandidateScanZeroAllocs is the acceptance allocation check: with no
 // sink attached, the candidate-scan hot path (GainAdd and a warm serial
 // GainsAdd) performs zero allocations per operation — instrumentation is
-// one atomic add, never an allocation. Both eval modes are covered: under
-// EvalIncremental a warm GainsAdd is a pure return, under EvalRebuild it
-// re-runs the fused grid scan — neither may allocate.
+// one atomic add, never an allocation. Both GainsAdd paths are covered: a
+// warm call on a live gains array is a pure return, and a forced cold call
+// re-runs the near-list build and pruned scan — neither may allocate.
 func TestCandidateScanZeroAllocs(t *testing.T) {
 	rng := xrand.New(306)
 	inst := testInstance(t, 24, 10, 4, 0.8, rng)
-	for _, mode := range []EvalMode{EvalIncremental, EvalRebuild} {
-		mi, err := NewInstance(inst.Graph(), inst.Pairs(), inst.Threshold(), inst.K(),
-			&Options{AllowTrivial: true, Table: inst.Table(), EvalMode: mode})
-		if err != nil {
-			t.Fatalf("NewInstance(%s): %v", mode, err)
-		}
-		s := mi.NewSearch(nil)
-		setSearchWorkers(s, 1)
-		s.GainsAdd() // warm scratch buffers
+	s := inst.NewSearch(nil).(*instSearch)
+	s.SetWorkers(1)
+	s.GainsAdd() // warm scratch buffers
 
-		if allocs := testing.AllocsPerRun(50, func() { s.GainsAdd() }); allocs != 0 {
-			t.Errorf("%s: GainsAdd (serial, warm) allocates %v/op", mode, allocs)
-		}
-		if allocs := testing.AllocsPerRun(50, func() { s.GainAdd(3) }); allocs != 0 {
-			t.Errorf("%s: GainAdd allocates %v/op", mode, allocs)
-		}
+	if allocs := testing.AllocsPerRun(50, func() { s.GainsAdd() }); allocs != 0 {
+		t.Errorf("GainsAdd (serial, warm) allocates %v/op", allocs)
+	}
+	cold := func() {
+		s.gainsValid = false
+		s.GainsAdd()
+	}
+	if allocs := testing.AllocsPerRun(50, cold); allocs != 0 {
+		t.Errorf("GainsAdd (serial, cold scan) allocates %v/op", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { s.GainAdd(3) }); allocs != 0 {
+		t.Errorf("GainAdd allocates %v/op", allocs)
 	}
 }
 
@@ -334,24 +334,20 @@ func benchInstance(tb testing.TB, n, m, k int, dt float64, rng *xrand.Rand) *Ins
 	return inst
 }
 
-// BenchmarkGainsAddSerialNoSink is the alloc/op evidence the acceptance
-// criteria call for; run with -benchmem. It pins EvalRebuild so every
-// iteration re-runs the fused grid scan — under the incremental default a
-// warm GainsAdd is a pure return and would measure nothing.
+// BenchmarkGainsAddSerialNoSink is the alloc/op evidence for the cold
+// candidate scan; run with -benchmem. Every iteration drops the live gains
+// array so GainsAdd re-runs the near-list build and pruned scan — a warm
+// GainsAdd is a pure return and would measure nothing.
 func BenchmarkGainsAddSerialNoSink(b *testing.B) {
 	rng := xrand.New(307)
-	inst0 := benchInstance(b, 64, 20, 6, 0.8, rng)
-	inst, err := NewInstance(inst0.Graph(), inst0.Pairs(), inst0.Threshold(), inst0.K(),
-		&Options{AllowTrivial: true, Table: inst0.Table(), EvalMode: EvalRebuild})
-	if err != nil {
-		b.Fatalf("NewInstance: %v", err)
-	}
-	s := inst.NewSearch(nil)
-	setSearchWorkers(s, 1)
+	inst := benchInstance(b, 64, 20, 6, 0.8, rng)
+	s := inst.NewSearch(nil).(*instSearch)
+	s.SetWorkers(1)
 	s.GainsAdd()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		s.gainsValid = false
 		s.GainsAdd()
 	}
 }

@@ -14,12 +14,11 @@ import (
 	"msc/internal/xrand"
 )
 
-// evalSeries builds the same T-instance series twice — once evaluated
-// incrementally, once by full rebuilds — from one RNG stream, so both
-// series share graphs, pairs, and budgets exactly.
-func evalSeries(t *testing.T, n, m, k, T int, dt float64, seed int64) (inc, reb []*core.Instance) {
+// evalSeries builds a T-instance series from one RNG stream.
+func evalSeries(t *testing.T, n, m, k, T int, dt float64, seed int64) []*core.Instance {
 	t.Helper()
 	rng := xrand.New(seed)
+	var insts []*core.Instance
 	for i := 0; i < T; i++ {
 		b := graph.NewBuilder(n)
 		perm := rng.Perm(n)
@@ -51,19 +50,51 @@ func evalSeries(t *testing.T, n, m, k, T int, dt float64, seed int64) (inc, reb 
 			t.Fatal(err)
 		}
 		thr := failprob.Threshold{P: 1 - math.Exp(-dt), D: dt}
-		ii, err := core.NewInstance(g, pset, thr, k, &core.Options{AllowTrivial: true, EvalMode: core.EvalIncremental})
+		inst, err := core.NewInstance(g, pset, thr, k, &core.Options{AllowTrivial: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ri, err := core.NewInstance(g, pset, thr, k, &core.Options{AllowTrivial: true, EvalMode: core.EvalRebuild})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inc = append(inc, ii)
-		reb = append(reb, ri)
+		insts = append(insts, inst)
 	}
-	return inc, reb
+	return insts
 }
+
+// freshProblem is the rebuild reference for a dynamic problem: its
+// searches replace their whole state with a fresh NewSearch of the new
+// selection on every Add or RemoveAt, so no merged row or patched gains
+// array ever survives a commit.
+type freshProblem struct{ *Problem }
+
+func (p freshProblem) NewSearch(sel []int) core.Search {
+	return &freshSearch{Search: p.Problem.NewSearch(sel), p: p.Problem, workers: 1}
+}
+
+type freshSearch struct {
+	core.Search
+	p       *Problem
+	workers int
+}
+
+func (s *freshSearch) reset(sel []int) {
+	s.Search = s.p.NewSearch(sel)
+	s.SetWorkers(s.workers)
+}
+
+func (s *freshSearch) Add(cand int) { s.reset(append(s.Selection(), cand)) }
+
+func (s *freshSearch) RemoveAt(pos int) {
+	sel := s.Selection()
+	s.reset(append(sel[:pos], sel[pos+1:]...))
+}
+
+func (s *freshSearch) SetWorkers(n int) {
+	s.workers = n
+	s.Search.(core.ParallelSearch).SetWorkers(n)
+}
+
+func (s *freshSearch) SigmaDrops() []int { return s.Search.(core.ParallelSearch).SigmaDrops() }
+
+var _ core.ParallelSearch = (*freshSearch)(nil)
 
 // evalSink collects RoundEvents so the test can check the multi-instance
 // EvalStats aggregation reaches the trace layer.
@@ -75,32 +106,35 @@ func (s *evalSink) Emit(e telemetry.Event) {
 	}
 }
 
-// TestDynamicEvalDifferential runs the dynamic problem's solvers over
-// incrementally evaluated and rebuild-evaluated instance series: identical
-// placements, per-instance σ breakdowns, and sandwich bounds, serial and
-// parallel. It also checks that the per-round eval stats summed over the
-// per-instance sub-searches reach GreedySigma's trace.
+// TestDynamicEvalDifferential runs the dynamic problem's solvers against
+// the fresh-search reference (freshProblem): identical placements,
+// per-instance σ breakdowns, and sandwich bounds, serial and parallel. A
+// greedy walk also checks, after every Add, that the incremental search's
+// σ and gains array equal those of a fresh NewSearch at the same
+// selection. Finally the per-round eval stats summed over the
+// per-instance sub-searches must reach GreedySigma's trace.
 func TestDynamicEvalDifferential(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			incInsts, rebInsts := evalSeries(t, 12, 5, 3, 3, 0.8, 9850+seed)
-			iprob, err := NewProblem(incInsts)
+			insts := evalSeries(t, 12, 5, 3, 3, 0.8, 9850+seed)
+			iprob, err := NewProblem(insts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rprob, err := NewProblem(rebInsts)
+			ref, err := NewProblem(insts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rprob := freshProblem{ref}
 
 			for _, workers := range []int{1, 8} {
 				ipl := core.GreedySigma(iprob, core.Parallelism(workers))
 				rpl := core.GreedySigma(rprob, core.Parallelism(workers))
 				if ipl.Sigma != rpl.Sigma || !reflect.DeepEqual(ipl.Selection, rpl.Selection) {
-					t.Errorf("par %d: GreedySigma differs: incremental (σ=%d, %v), rebuild (σ=%d, %v)",
+					t.Errorf("par %d: GreedySigma differs: incremental (σ=%d, %v), fresh (σ=%d, %v)",
 						workers, ipl.Sigma, ipl.Selection, rpl.Sigma, rpl.Selection)
 				}
-				if !reflect.DeepEqual(iprob.SigmaPerInstance(ipl.Selection), rprob.SigmaPerInstance(rpl.Selection)) {
+				if !reflect.DeepEqual(iprob.SigmaPerInstance(ipl.Selection), ref.SigmaPerInstance(rpl.Selection)) {
 					t.Errorf("par %d: per-instance σ breakdown differs", workers)
 				}
 
@@ -110,7 +144,24 @@ func TestDynamicEvalDifferential(t *testing.T) {
 					t.Errorf("par %d: Sandwich.Best differs", workers)
 				}
 				if ires.Ratio != rres.Ratio {
-					t.Errorf("par %d: sandwich ratio differs: incremental %v, rebuild %v", workers, ires.Ratio, rres.Ratio)
+					t.Errorf("par %d: sandwich ratio differs: incremental %v, fresh %v", workers, ires.Ratio, rres.Ratio)
+				}
+
+				s := iprob.NewSearch(nil)
+				s.(core.ParallelSearch).SetWorkers(workers)
+				for step := 1; step <= iprob.K(); step++ {
+					cand, gain := s.BestAdd()
+					if cand < 0 || gain <= 0 {
+						break
+					}
+					s.Add(cand)
+					fresh := iprob.NewSearch(s.Selection())
+					if s.Sigma() != fresh.Sigma() {
+						t.Fatalf("par %d step %d: σ %d, fresh search %d", workers, step, s.Sigma(), fresh.Sigma())
+					}
+					if got, want := s.GainsAdd(), fresh.GainsAdd(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("par %d step %d: patched gains differ from a fresh search\npatched %v\nfresh   %v", workers, step, got, want)
+					}
 				}
 			}
 

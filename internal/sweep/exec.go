@@ -39,7 +39,7 @@ func (e *RunError) Unwrap() error { return e.Err }
 
 // ProcessRunner executes scenarios as worker processes: mscgen to
 // materialize each unique problem instance (cached per InstanceKey, so
-// scenarios differing only in solver/backend/eval/par share one file),
+// scenarios differing only in solver/par share one file),
 // then mscplace or mscbench with -jsonl. Every ingested stream is
 // schema-validated via telemetry.ReadRunRecords before a record is
 // accepted.
@@ -152,7 +152,6 @@ func (p *ProcessRunner) runPlace(ctx context.Context, sc Scenario) (telemetry.Ru
 		"-alg", sc.Solver,
 		"-seed", strconv.FormatInt(sc.Seed, 10),
 		"-par", strconv.Itoa(sc.Par),
-		"-eval", sc.EvalMode,
 		"-jsonl", jsonl,
 	}
 	if sc.Survive != "" {
@@ -191,7 +190,6 @@ func (p *ProcessRunner) runBench(ctx context.Context, sc Scenario) (telemetry.Ru
 		"-exp", sc.Experiment,
 		"-seed", strconv.FormatInt(sc.Seed, 10),
 		"-par", strconv.Itoa(sc.Par),
-		"-eval", sc.EvalMode,
 		"-jsonl", jsonl,
 	}
 	if sc.Quick {

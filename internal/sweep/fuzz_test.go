@@ -37,7 +37,7 @@ func FuzzAggregate(f *testing.F) {
 		}
 		sc := Scenario{
 			Kind: KindPlace, Family: "rgg", N: 40, M: 8, Pt: 0.12, K: 2,
-			Solver: "greedy", EvalMode: "auto", Par: 1, Seed: seed,
+			Solver: "greedy", Par: 1, Seed: seed,
 		}
 		results := make([]Result, 0, len(recs))
 		for i, rec := range recs {

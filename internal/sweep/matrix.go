@@ -43,8 +43,6 @@ type Matrix struct {
 	// Solvers names the mscplace algorithms to run:
 	// sandwich|greedy|mu|nu|ea|aea|random|cn.
 	Solvers []string `json:"solvers"`
-	// EvalModes mirrors the -eval flag.
-	EvalModes []string `json:"eval_modes"`
 	// Survive mirrors the -survive flag on place scenarios:
 	// auto|none|shortcut|node. Empty means the fault-free default; the
 	// scenario key grows a segment only for survivable modes, so existing
@@ -61,7 +59,7 @@ type Matrix struct {
 	// is launched per (scenario, seed).
 	Seeds []int64 `json:"seeds"`
 	// Experiments optionally adds whole mscbench experiment runs (one
-	// scenario per id × eval × par, repeated per seed). The ids
+	// scenario per id × par, repeated per seed). The ids
 	// are validated by mscbench itself — an unknown id fails that child.
 	Experiments []string `json:"experiments"`
 	// Quick marks reduced-scale runs: forwarded to mscbench -quick and
@@ -86,7 +84,6 @@ func QuickMatrix() Matrix {
 		Pt:          []float64{0.12},
 		K:           []int{2, 3},
 		Solvers:     []string{"greedy", "sandwich"},
-		EvalModes:   []string{"auto"},
 		Survive:     []string{"none", "shortcut"},
 		Budget:      []float64{0, 2},
 		Parallelism: []int{1},
@@ -109,7 +106,6 @@ func (e *MatrixError) Error() string {
 var (
 	validFamilies = map[string]bool{"rgg": true, "social": true}
 	validSolvers  = map[string]bool{"sandwich": true, "greedy": true, "mu": true, "nu": true, "ea": true, "aea": true, "random": true, "cn": true}
-	validEvals    = map[string]bool{"auto": true, "incremental": true, "rebuild": true}
 	validSurvive  = map[string]bool{"auto": true, "none": true, "shortcut": true, "node": true}
 )
 
@@ -130,9 +126,6 @@ func (m Matrix) Validate() error {
 			return &MatrixError{Axis: "seeds", Reason: fmt.Sprintf("seed %d repeats: repeated seeds would double-count one run in the medians", s)}
 		}
 		seen[s] = true
-	}
-	if err := validateNames("eval_modes", m.EvalModes, validEvals); err != nil {
-		return err
 	}
 	if err := validateNames("survive", m.Survive, validSurvive); err != nil {
 		return err
@@ -232,18 +225,17 @@ type Scenario struct {
 	Experiment string `json:"experiment,omitempty"`
 
 	// Shared axes.
-	EvalMode string `json:"eval_mode"`
-	Par      int    `json:"par"`
-	Quick    bool   `json:"quick"`
-	Seed     int64  `json:"seed"`
+	Par   int   `json:"par"`
+	Quick bool  `json:"quick"`
+	Seed  int64 `json:"seed"`
 }
 
 // Key is the canonical scenario identity inside a trajectory: every axis
 // except the seed, in a fixed order, so two sweeps of the same matrix
 // produce byte-identical keys. Example:
 //
-//	place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1
-//	bench/table1/quick/auto/par0
+//	place/rgg/n40/m8/pt0.12/k2/greedy/par1
+//	bench/table1/quick/par0
 func (s Scenario) Key() string {
 	switch s.Kind {
 	case KindBench:
@@ -251,10 +243,10 @@ func (s Scenario) Key() string {
 		if s.Quick {
 			quick = "quick"
 		}
-		return fmt.Sprintf("bench/%s/%s/%s/par%d", s.Experiment, quick, s.EvalMode, s.Par)
+		return fmt.Sprintf("bench/%s/%s/par%d", s.Experiment, quick, s.Par)
 	default:
-		key := fmt.Sprintf("place/%s/n%d/m%d/pt%s/k%d/%s/%s/par%d",
-			s.Family, s.N, s.M, formatPt(s.Pt), s.K, s.Solver, s.EvalMode, s.Par)
+		key := fmt.Sprintf("place/%s/n%d/m%d/pt%s/k%d/%s/par%d",
+			s.Family, s.N, s.M, formatPt(s.Pt), s.K, s.Solver, s.Par)
 		// Survivable runs get their own segment; fault-free runs keep the
 		// historical key so existing baselines diff cleanly.
 		if s.Survive != "" && s.Survive != "none" && s.Survive != "auto" {
@@ -269,8 +261,8 @@ func (s Scenario) Key() string {
 }
 
 // InstanceKey identifies the generated problem instance a place scenario
-// needs: the generator inputs only. Scenarios that differ in solver, eval
-// mode, or parallelism share one instance file.
+// needs: the generator inputs only. Scenarios that differ in solver or
+// parallelism share one instance file.
 func (s Scenario) InstanceKey() string {
 	return fmt.Sprintf("%s-n%d-m%d-pt%s-k%d-seed%d", s.Family, s.N, s.M, formatPt(s.Pt), s.K, s.Seed)
 }
@@ -284,13 +276,12 @@ func formatPt(pt float64) string {
 // Expand validates the matrix and unrolls its cross product into the
 // deterministic scenario order the pool and the aggregator both rely on:
 // place scenarios first (axes varying innermost-to-outermost in the order
-// seed, par, budget, survive, eval, solver, k, pt, m, n, family),
+// seed, par, budget, survive, solver, k, pt, m, n, family),
 // then bench scenarios.
 func (m Matrix) Expand() ([]Scenario, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	evals := orDefault(m.EvalModes, "auto")
 	survives := orDefault(m.Survive, "auto")
 	budgets := m.Budget
 	if len(budgets) == 0 {
@@ -313,21 +304,19 @@ func (m Matrix) Expand() ([]Scenario, error) {
 				for _, pt := range m.Pt {
 					for _, k := range m.K {
 						for _, solver := range m.Solvers {
-							for _, eval := range evals {
-								for _, survive := range survives {
-									for _, budget := range budgets {
-										for _, par := range pars {
-											for _, seed := range m.Seeds {
-												sc := Scenario{
-													Kind: KindPlace, Family: family, N: n, M: mm, Pt: pt, K: k,
-													Solver: solver, EvalMode: eval,
-													Survive: survive, Budget: budget, Par: par, Quick: m.Quick, Seed: seed,
-												}
-												if family == "social" {
-													sc.N = 0 // generator-fixed; keep the key honest
-												}
-												out = append(out, sc)
+							for _, survive := range survives {
+								for _, budget := range budgets {
+									for _, par := range pars {
+										for _, seed := range m.Seeds {
+											sc := Scenario{
+												Kind: KindPlace, Family: family, N: n, M: mm, Pt: pt, K: k,
+												Solver: solver, Survive: survive, Budget: budget,
+												Par: par, Quick: m.Quick, Seed: seed,
 											}
+											if family == "social" {
+												sc.N = 0 // generator-fixed; keep the key honest
+											}
+											out = append(out, sc)
 										}
 									}
 								}
@@ -339,15 +328,12 @@ func (m Matrix) Expand() ([]Scenario, error) {
 		}
 	}
 	for _, id := range m.Experiments {
-		for _, eval := range evals {
-			for _, par := range pars {
-				for _, seed := range m.Seeds {
-					out = append(out, Scenario{
-						Kind: KindBench, Experiment: id,
-						EvalMode: eval, Par: par,
-						Quick: m.Quick, Seed: seed,
-					})
-				}
+		for _, par := range pars {
+			for _, seed := range m.Seeds {
+				out = append(out, Scenario{
+					Kind: KindBench, Experiment: id,
+					Par: par, Quick: m.Quick, Seed: seed,
+				})
 			}
 		}
 	}
@@ -361,14 +347,19 @@ func orDefault(xs []string, def string) []string {
 	return xs
 }
 
-// ReadMatrix decodes a matrix spec from JSON, rejecting unknown fields so
-// a typo'd axis name ("solver" for "solvers") cannot silently produce an
-// empty axis, and validates the result.
+// ReadMatrix decodes a matrix spec from JSON and validates the result. An
+// unknown field — a typo'd axis name ("solver" for "solvers") or an axis
+// the matrix no longer has — fails with a *MatrixError naming it, so it
+// cannot silently produce an empty or ignored axis.
 func ReadMatrix(r io.Reader) (Matrix, error) {
 	var m Matrix
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
+		// encoding/json names an unknown field only in its message.
+		if f, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+			return Matrix{}, &MatrixError{Axis: strings.Trim(f, `"`), Reason: "unknown field (misspelled or retired axis)"}
+		}
 		return Matrix{}, fmt.Errorf("sweep: matrix spec: %w", err)
 	}
 	if err := m.Validate(); err != nil {

@@ -29,23 +29,23 @@ func TestQuickMatrixExpands(t *testing.T) {
 	}
 	// The fault-free half keeps the historical key shape; the survivable
 	// half gets its own segment.
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/par1"]; !ok {
 		t.Errorf("expected canonical place key missing: %v", keys)
 	}
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1/sv-shortcut"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/par1/sv-shortcut"]; !ok {
 		t.Errorf("expected survivable place key missing: %v", keys)
 	}
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1/b-2"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/par1/b-2"]; !ok {
 		t.Errorf("expected budgeted place key missing: %v", keys)
 	}
-	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/auto/par1/sv-shortcut/b-2"]; !ok {
+	if _, ok := keys["place/rgg/n40/m8/pt0.12/k2/greedy/par1/sv-shortcut/b-2"]; !ok {
 		t.Errorf("expected survivable budgeted place key missing: %v", keys)
 	}
-	if _, ok := keys["bench/table1/quick/auto/par1"]; !ok {
+	if _, ok := keys["bench/table1/quick/par1"]; !ok {
 		t.Errorf("expected canonical bench key missing: %v", keys)
 	}
 	// The 600-node half runs on the bounded backend under its own key.
-	if _, ok := keys["place/rgg/n600/m8/pt0.12/k2/greedy/auto/par1"]; !ok {
+	if _, ok := keys["place/rgg/n600/m8/pt0.12/k2/greedy/par1"]; !ok {
 		t.Errorf("expected bounded-size place key missing: %v", keys)
 	}
 }
@@ -82,10 +82,9 @@ func TestInstanceKeySharedAcrossSolvers(t *testing.T) {
 	a := Scenario{Kind: KindPlace, Family: "rgg", N: 40, M: 8, Pt: 0.12, K: 2, Solver: "greedy", Seed: 1}
 	b := a
 	b.Solver = "sandwich"
-	b.EvalMode = "rebuild"
 	b.Par = 8
 	if a.InstanceKey() != b.InstanceKey() {
-		t.Fatalf("solver/eval/par must not split the instance cache: %s vs %s", a.InstanceKey(), b.InstanceKey())
+		t.Fatalf("solver/par must not split the instance cache: %s vs %s", a.InstanceKey(), b.InstanceKey())
 	}
 	c := a
 	c.Seed = 2
@@ -98,36 +97,47 @@ func TestMatrixValidation(t *testing.T) {
 	base := QuickMatrix()
 	cases := []struct {
 		name   string
-		mutate func(*Matrix)
-		axis   string // expected MatrixError.Axis; "" = valid
+		mutate func(*Matrix) // applied to the quick matrix, then Validate
+		spec   string        // when set, a JSON spec for ReadMatrix instead
+		axis   string        // expected MatrixError.Axis; "" = valid
 	}{
-		{"quick matrix valid", func(m *Matrix) {}, ""},
-		{"bench-only valid", func(m *Matrix) {
+		{name: "quick matrix valid", mutate: func(m *Matrix) {}},
+		{name: "bench-only valid", mutate: func(m *Matrix) {
 			m.Solvers = nil
 			m.Families = nil
 			m.N = nil
 			m.M = nil
 			m.Pt = nil
 			m.K = nil
-		}, ""},
-		{"empty sweep", func(m *Matrix) { m.Solvers = nil; m.Experiments = nil }, "solvers"},
-		{"no seeds", func(m *Matrix) { m.Seeds = nil }, "seeds"},
-		{"repeated seed", func(m *Matrix) { m.Seeds = []int64{1, 2, 1} }, "seeds"},
-		{"unknown family", func(m *Matrix) { m.Families = []string{"torus"} }, "families"},
-		{"unknown solver", func(m *Matrix) { m.Solvers = []string{"magic"} }, "solvers"},
-		{"unknown eval", func(m *Matrix) { m.EvalModes = []string{"psychic"} }, "eval_modes"},
-		{"negative par", func(m *Matrix) { m.Parallelism = []int{-1} }, "parallelism"},
-		{"zero n", func(m *Matrix) { m.N = []int{0} }, "n"},
-		{"negative k", func(m *Matrix) { m.K = []int{-2} }, "k"},
-		{"empty m axis", func(m *Matrix) { m.M = nil }, "m"},
-		{"threshold out of range", func(m *Matrix) { m.Pt = []float64{1.5} }, "p_t"},
-		{"empty experiment id", func(m *Matrix) { m.Experiments = []string{" "} }, "experiments"},
+		}},
+		{name: "empty sweep", mutate: func(m *Matrix) { m.Solvers = nil; m.Experiments = nil }, axis: "solvers"},
+		{name: "no seeds", mutate: func(m *Matrix) { m.Seeds = nil }, axis: "seeds"},
+		{name: "repeated seed", mutate: func(m *Matrix) { m.Seeds = []int64{1, 2, 1} }, axis: "seeds"},
+		{name: "unknown family", mutate: func(m *Matrix) { m.Families = []string{"torus"} }, axis: "families"},
+		{name: "unknown solver", mutate: func(m *Matrix) { m.Solvers = []string{"magic"} }, axis: "solvers"},
+		{name: "negative par", mutate: func(m *Matrix) { m.Parallelism = []int{-1} }, axis: "parallelism"},
+		{name: "zero n", mutate: func(m *Matrix) { m.N = []int{0} }, axis: "n"},
+		{name: "negative k", mutate: func(m *Matrix) { m.K = []int{-2} }, axis: "k"},
+		{name: "empty m axis", mutate: func(m *Matrix) { m.M = nil }, axis: "m"},
+		{name: "threshold out of range", mutate: func(m *Matrix) { m.Pt = []float64{1.5} }, axis: "p_t"},
+		{name: "empty experiment id", mutate: func(m *Matrix) { m.Experiments = []string{" "} }, axis: "experiments"},
+		// Searches have one evaluation path, so the eval-mode axis is gone;
+		// a spec still carrying it must fail loudly, not sweep as if unset.
+		{name: "retired eval_modes axis", spec: `{
+			"families": ["rgg"], "n": [40], "m": [8], "p_t": [0.12], "k": [2],
+			"solvers": ["greedy"], "eval_modes": ["rebuild"], "seeds": [1]
+		}`, axis: "eval_modes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := base
-			tc.mutate(&m)
-			err := m.Validate()
+			var err error
+			if tc.spec != "" {
+				_, err = ReadMatrix(strings.NewReader(tc.spec))
+			} else {
+				m := base
+				tc.mutate(&m)
+				err = m.Validate()
+			}
 			if tc.axis == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -166,8 +176,8 @@ func TestReadMatrixRejectsUnknownField(t *testing.T) {
 	if len(scs) != 2 {
 		t.Fatalf("expanded %d scenarios, want 2", len(scs))
 	}
-	if scs[0].EvalMode != "auto" {
-		t.Fatalf("eval default not applied: %+v", scs[0])
+	if scs[0].Par != 0 {
+		t.Fatalf("parallelism default not applied: %+v", scs[0])
 	}
 }
 

@@ -58,13 +58,13 @@ type Counters struct {
 	// it could keep verbatim (no endpoint row changed).
 	PairsRescanned atomic.Int64
 	PairsSkipped   atomic.Int64
-	// CandidatesPruned counts candidate cells a pruned gains scan proved
+	// CandidatesPruned counts candidate cells a cold gains scan proved
 	// zero-gain without touching them: per scanned pair, the candidate
 	// universe minus the cells both of whose endpoints lie within d_t of
 	// a pair endpoint. Accumulated while the per-pair candidate lists are
 	// built — a serial step — so the total is identical at every worker
-	// count. Only sparse-backend (or very large) instances run pruned
-	// scans, so the total differs across distance backends.
+	// count. The lists read only distances ≤ d_t, which every distance
+	// backend holds bit-identically, so the total is backend-invariant.
 	CandidatesPruned atomic.Int64
 
 	// FailureScenariosEvaled counts single-failure scenario σ evaluations
@@ -173,10 +173,11 @@ func (c *Counters) Reset() {
 // also depends on goroutine interleaving), the merge row classification
 // (RowsMerged/RowsUnchanged look at stored distances beyond d_t, which a
 // bounded backend deliberately reports as +Inf where a dense table holds
-// finite values), and CandidatesPruned (only pruned scans bump it, and
-// only sparse backends run them). What remains is exactly the solver work
-// that must be identical across backends — the invariant the
-// backend-differential suite asserts.
+// finite values). What remains is exactly the solver work that must be
+// identical across backends — the invariant the backend-differential
+// suite asserts. CandidatesPruned stays: every cold scan builds its
+// near-candidate lists from distances ≤ d_t, which both backends hold
+// bit-identically.
 func (s CounterSnapshot) BackendInvariant() CounterSnapshot {
 	s.DijkstraRuns = 0
 	s.EdgeRelaxations = 0
@@ -186,7 +187,6 @@ func (s CounterSnapshot) BackendInvariant() CounterSnapshot {
 	s.RowCacheEvictions = 0
 	s.RowsMerged = 0
 	s.RowsUnchanged = 0
-	s.CandidatesPruned = 0
 	return s
 }
 

@@ -161,10 +161,6 @@ type RunRecord struct {
 	// to ("dense" or "bounded"); "" for whole-experiment records, whose
 	// instances may differ, and for runs that predate the field.
 	DistBackend string `json:"dist_backend"`
-	// EvalMode records the search evaluation mode the run was launched
-	// with ("auto", "incremental", "rebuild"); "" for runs that predate
-	// the field.
-	EvalMode string `json:"eval_mode"`
 	// Survive records the survivability mode the run was launched with
 	// ("none", "shortcut", "node"); "" for runs that predate the field.
 	Survive string `json:"survive"`

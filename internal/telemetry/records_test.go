@@ -53,6 +53,24 @@ func TestReadRunRecordsEmptyStream(t *testing.T) {
 	}
 }
 
+// TestRunRecordRetiredFieldAccepted keeps old streams readable: a run line
+// from a binary that still wrote the retired "eval_mode" field passes both
+// the validator and the reader, which ignore fields the schema dropped.
+func TestRunRecordRetiredFieldAccepted(t *testing.T) {
+	line := bytes.TrimSuffix(stream(t, RunRecord{Name: "greedy", Algorithm: "greedy_sigma", Sigma: 4}), []byte("}\n"))
+	old := append(line, []byte(`,"eval_mode":"rebuild"}`+"\n")...)
+	if _, err := ValidateJSONL(bytes.NewReader(old)); err != nil {
+		t.Fatalf("ValidateJSONL rejected a record with eval_mode: %v", err)
+	}
+	recs, err := ReadRunRecords(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("ReadRunRecords rejected a record with eval_mode: %v", err)
+	}
+	if len(recs) != 1 || recs[0].Name != "greedy" || recs[0].Sigma != 4 {
+		t.Fatalf("record with eval_mode decoded as %+v", recs)
+	}
+}
+
 func TestReadRunRecordsRejectsWhatValidateRejects(t *testing.T) {
 	good := stream(t, RunRecord{Name: "x", Algorithm: "greedy_sigma"})
 	for name, mangle := range map[string]func([]byte) []byte{

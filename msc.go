@@ -99,9 +99,6 @@ type (
 	// SparseDistanceRow is a compact (node, distance) distance row as
 	// returned by BoundedDistanceTable.SparseRow; absent nodes read +Inf.
 	SparseDistanceRow = shortestpath.SparseRow
-	// EvalMode selects how searches maintain their state across Add
-	// commits: EvalIncremental or EvalRebuild.
-	EvalMode = core.EvalMode
 	// Survivability selects the failure model an instance optimizes
 	// against: SurviveNone, SurviveShortcut, or SurviveNode.
 	Survivability = core.Survivability
@@ -180,17 +177,6 @@ const (
 // d_t instead of a dense DistanceTable (the "length" cost model always
 // gets the dense one). Placements and σ/μ/ν are identical either way.
 const DefaultLazyThreshold = core.DefaultLazyThreshold
-
-// Evaluation modes selectable via InstanceOptions.EvalMode. EvalModeAuto
-// (the zero value) resolves to EvalIncremental — O(n) row merges and delta
-// gains rescans when a search commits a shortcut; EvalRebuild restores
-// the full-recompute reference path. Placements, σ values, and gains
-// arrays are identical across modes.
-const (
-	EvalModeAuto    = core.EvalModeAuto
-	EvalIncremental = core.EvalIncremental
-	EvalRebuild     = core.EvalRebuild
-)
 
 // Survivability modes selectable via InstanceOptions.Survive. SurviveAuto
 // (the zero value) resolves to SurviveNone. Under SurviveShortcut or SurviveNode the
@@ -278,10 +264,6 @@ func NewBoundedDistanceTable(g *Graph, opts BoundedTableOptions) (*BoundedDistan
 // the dense rows materialized from them) — the
 // msc_row_bytes_resident gauge as a plain value.
 func RowBytesResident() int64 { return shortestpath.RowBytesResident() }
-
-// ParseEvalMode validates an -eval flag value ("auto", "incremental",
-// "rebuild").
-func ParseEvalMode(s string) (EvalMode, error) { return core.ParseEvalMode(s) }
 
 // ParseSurvivability validates a -survive flag value ("auto", "none",
 // "shortcut", "node").
